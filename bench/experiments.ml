@@ -950,11 +950,11 @@ let cluster ~full =
         Trace.start ~capacity:65536 ();
         let r = Kv.run ~boundary spec cfg in
         let t = Trace.stop () in
-        let rep = Checker.check ~boundary t in
-        (r, rep, c.Compose.boundary))
+        let _, verdict = Checker.verdict ~terse:true t (Checker.check ~boundary t) in
+        (r, verdict, c.Compose.boundary))
       cells
   in
-  let fmt_row ((r : Kv.result), (rep : Checker.report), cb) shards =
+  let fmt_row ((r : Kv.result), verdict, cb) shards =
     [
       string_of_int shards;
       string_of_int cb;
@@ -965,8 +965,7 @@ let cluster ~full =
       string_of_int r.Kv.aborted;
       string_of_int r.Kv.messages;
       string_of_int r.Kv.commit_waits;
-      (if Checker.ok rep then "ok"
-       else Printf.sprintf "%d violations" (List.length rep.Checker.violations));
+      verdict;
     ]
   in
   let header =
@@ -1272,21 +1271,13 @@ let service ~full =
       | None -> Svc.run ~boundary:c.Compose.boundary spec cfg
       | Some f -> Svc.run ~boundary:c.Compose.boundary ~fault:f spec cfg
     in
-    let rep = Checker.check ~boundary:c.Compose.boundary (Trace.stop ()) in
-    (r, rep)
+    let t = Trace.stop () in
+    let _, verdict =
+      Checker.verdict ~terse:true t (Checker.check ~boundary:c.Compose.boundary t)
+    in
+    (r, verdict)
   in
-  let invariants (r : Svc.result) =
-    if
-      r.Svc.issued = r.Svc.committed + r.Svc.failed
-      && r.Svc.sum_values = r.Svc.expected_sum
-      && r.Svc.locks_left = 0 && r.Svc.divergence = 0
-    then "ok"
-    else "VIOLATED"
-  in
-  let verdict (rep : Checker.report) =
-    if Checker.ok rep then "ok"
-    else Printf.sprintf "%d violations" (List.length rep.Checker.violations)
-  in
+  let invariants r = if Svc.breaches r = [] then "ok" else "VIOLATED" in
   (* (1) epoch group commit vs per-transaction commit wait. *)
   let series = [ ("epoch group-commit", Svc.default.Svc.epoch_ns); ("per-txn wait", 0) ] in
   let cells =
@@ -1305,7 +1296,7 @@ let service ~full =
     (fun i (label, e) ->
       let rows =
         List.map2
-          (fun ((r : Svc.result), rep) sessions ->
+          (fun ((r : Svc.result), verdict) sessions ->
             [
               string_of_int sessions;
               string_of_int r.Svc.committed;
@@ -1316,7 +1307,7 @@ let service ~full =
               Printf.sprintf "%.0f" r.Svc.p50_ns;
               Printf.sprintf "%.0f" r.Svc.p99_ns;
               invariants r;
-              verdict rep;
+              verdict;
             ])
           (List.nth (H.chunks (List.length sessions_list) results) i)
           sessions_list
@@ -1340,7 +1331,7 @@ let service ~full =
         "msgs"; "invariants"; "checker";
       ]
     (List.map2
-       (fun replicas ((r : Svc.result), rep) ->
+       (fun replicas ((r : Svc.result), verdict) ->
          [
            string_of_int replicas;
            string_of_int r.Svc.committed;
@@ -1350,7 +1341,7 @@ let service ~full =
            string_of_int r.Svc.rep_applied;
            string_of_int r.Svc.messages;
            invariants r;
-           verdict rep;
+           verdict;
          ])
        reps rres);
   (* (3) chaos: kill a primary mid-run; the group must degrade, promote a
@@ -1369,7 +1360,7 @@ let service ~full =
       (if full then [ "primary_kill"; "rolling" ] else [ "primary_kill" ])
   in
   List.iter
-    (fun (name, ((r : Svc.result), rep)) ->
+    (fun (name, ((r : Svc.result), verdict)) ->
       Report.table
         ~title:(Printf.sprintf "chaos scenario %s at %d sessions" name sess)
         ~header:
@@ -1386,7 +1377,7 @@ let service ~full =
             string_of_int r.Svc.snapshots;
             string_of_int r.Svc.rep_stale;
             invariants r;
-            verdict rep;
+            verdict;
           ];
         ];
       List.iter (fun e -> print_endline ("  " ^ Chaos.describe_event e)) r.Svc.timeline)

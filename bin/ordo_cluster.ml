@@ -37,10 +37,12 @@ let checked_run ~boundary ~check spec cfg =
     Trace.start ~capacity:65536 ();
     let r = Kv.run ~boundary spec cfg in
     let t = Trace.stop () in
-    (r, Some (Checker.check ~boundary t))
+    (r, Some (Checker.verdict t (Checker.check ~boundary t)))
   end
 
-let report_kv_result name (r : Kv.result) (rep : Checker.report option) =
+(* Print one run; false on an invariant breach or a failed or incomplete
+   check. *)
+let report_kv_result name (r : Kv.result) verdict =
   Report.section (Printf.sprintf "KV service: %s source" name);
   Report.kv "issued / committed / aborted"
     (Printf.sprintf "%d / %d / %d" r.Kv.issued r.Kv.committed r.Kv.aborted);
@@ -53,13 +55,14 @@ let report_kv_result name (r : Kv.result) (rep : Checker.report option) =
   Report.kv "lease renewals" (string_of_int r.Kv.renewals);
   Report.kv "commit waits"
     (Printf.sprintf "%d (%d ns total)" r.Kv.commit_waits r.Kv.wait_ns);
-  (match rep with
-  | None -> ()
-  | Some rep ->
-    Report.kv "checker"
-      (if Checker.ok rep then "ok (0 violations)"
-       else Printf.sprintf "%d violation(s)" (List.length rep.Checker.violations)));
-  r
+  let breaches = Kv.breaches r in
+  List.iter (fun b -> print_endline ("INVARIANT FAILED: " ^ b)) breaches;
+  if breaches = [] then Report.kv "resolved / conservation / locks" "all ok";
+  match verdict with
+  | None -> breaches = []
+  | Some (ok, text) ->
+    Report.kv "checker" text;
+    ok && breaches = []
 
 let run_fixture check =
   let spec = Net.Spec.asymmetric_fixture () in
@@ -72,7 +75,9 @@ let run_fixture check =
   let r = Kv.run ~boundary:c.Compose.rtt2_boundary spec cfg in
   let t = Trace.stop () in
   let rep = Checker.check ~boundary:c.Compose.rtt2_boundary t in
-  ignore (report_kv_result "ordo under the UNSOUND rtt/2 boundary" r (Some rep));
+  ignore
+    (report_kv_result "ordo under the UNSOUND rtt/2 boundary" r
+       (Some (Checker.verdict t rep)));
   if Checker.ok rep then begin
     print_endline "FIXTURE FAILED: the checker did not flag the under-sized boundary";
     2
@@ -85,8 +90,7 @@ let run_fixture check =
     Trace.start ~capacity:65536 ();
     let _ = Kv.run ~boundary:c.Compose.boundary spec cfg in
     let t = Trace.stop () in
-    let rep = Checker.check ~boundary:c.Compose.boundary t in
-    if Checker.ok rep then begin
+    if fst (Checker.verdict t (Checker.check ~boundary:c.Compose.boundary t)) then begin
       print_endline "composed boundary on the same topology: 0 violations";
       0
     end
@@ -129,13 +133,10 @@ let run_service spec_str source dur arrival batch theta cross read_pct no_check 
       List.iter
         (fun src ->
           let boundary = match src with Kv.Ordo -> c.Compose.boundary | Kv.Logical -> 0 in
-          let r, rep =
+          let r, verdict =
             checked_run ~boundary ~check:(not no_check) spec { cfg with Kv.source = src }
           in
-          let _ = report_kv_result (Kv.source_name src) r rep in
-          match rep with
-          | Some rep when not (Checker.ok rep) -> bad := true
-          | _ -> ())
+          if not (report_kv_result (Kv.source_name src) r verdict) then bad := true)
         sources;
       if !bad then 1 else 0
 

@@ -31,16 +31,19 @@ type cell = {
   c_label : string;
   c_result : Service.result;
   c_fault : Node_fault.t;
-  c_check : Checker.report option;
+  c_verdict : (bool * string) option;
 }
 
 let run_cell ~boundary ~check ~label spec cfg fault =
   if check then Trace.start ~capacity:262_144 ();
   let r = Service.run ~boundary ~fault spec cfg in
-  let rep =
-    if check then Some (Checker.check ~boundary (Trace.stop ())) else None
+  let verdict =
+    if check then
+      let t = Trace.stop () in
+      Some (Checker.verdict t (Checker.check ~boundary t))
+    else None
   in
-  { c_label = label; c_result = r; c_fault = fault; c_check = rep }
+  { c_label = label; c_result = r; c_fault = fault; c_verdict = verdict }
 
 (* Everything the run promised, checked; returns false on any breach. *)
 let report_cell c =
@@ -85,35 +88,15 @@ let report_cell c =
       (fun e -> print_endline ("  " ^ Chaos.describe_event e))
       r.Service.timeline
   end;
-  let ok = ref true in
-  let fail fmt =
-    Printf.ksprintf
-      (fun s ->
-        ok := false;
-        print_endline ("INVARIANT FAILED: " ^ s))
-      fmt
-  in
-  if r.Service.issued <> r.Service.committed + r.Service.failed then
-    fail "%d issued but %d committed + %d failed" r.Service.issued
-      r.Service.committed r.Service.failed;
-  if r.Service.sum_values <> r.Service.expected_sum then
-    fail "conservation: sum %d, expected %d (lost or duplicated commits)"
-      r.Service.sum_values r.Service.expected_sum;
-  if r.Service.locks_left <> 0 then fail "%d locks leaked" r.Service.locks_left;
-  if r.Service.divergence <> 0 then
-    fail "%d replica divergences" r.Service.divergence;
-  if !ok then
+  let breaches = Service.breaches r in
+  List.iter (fun b -> print_endline ("INVARIANT FAILED: " ^ b)) breaches;
+  if breaches = [] then
     Report.kv "exactly-once / conservation / locks / divergence" "all ok";
-  (match c.c_check with
-  | None -> ()
-  | Some rep ->
-    if Checker.ok rep then Report.kv "checker" "ok (0 violations)"
-    else begin
-      ok := false;
-      Report.kv "checker"
-        (Printf.sprintf "%d violation(s)" (List.length rep.Checker.violations))
-    end);
-  !ok
+  match c.c_verdict with
+  | None -> breaches = []
+  | Some (ok, text) ->
+    Report.kv "checker" text;
+    ok && breaches = []
 
 let run_main spec_str sessions dur epoch compare_flag fault_name seed jobs no_check
     =

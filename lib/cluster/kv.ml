@@ -43,20 +43,8 @@ type source = Logical | Ordo
 let source_name = function Logical -> "logical" | Ordo -> "ordo"
 
 (* Hooks shared with the layers built on this service (lib/service): the
-   versioned-lease key state and the trace vocabulary, so the offline
-   checker sees one probe protocol no matter which layer emitted it. *)
-
-module Key = struct
-  type t = {
-    mutable value : int;
-    mutable ver : int;
-    mutable wts : int;  (* timestamp of the installed version *)
-    mutable rts : int;  (* read lease: no write may commit at or below this *)
-    mutable locked : bool;
-  }
-
-  let make ~value = { value; ver = 0; wts = 0; rts = 0; locked = false }
-end
+   trace vocabulary, so the offline checker sees one probe protocol no
+   matter which layer emitted it, and the client-outcome tally. *)
 
 module Obs = struct
   (* Observational helpers: no time charge, no rng draw — safe to call
@@ -78,6 +66,35 @@ module Obs = struct
     probe net node "tx.commit" commit_ts 0
 end
 
+module Tally = struct
+  type t = {
+    mutable committed : int;
+    mutable failed : int;
+    mutable end_ns : int;
+    mutable lats : float list;
+  }
+
+  let create () = { committed = 0; failed = 0; end_ns = 0; lats = [] }
+
+  let record t ~now ~arrival ok =
+    if now > t.end_ns then t.end_ns <- now;
+    if ok then begin
+      t.committed <- t.committed + 1;
+      t.lats <- float_of_int (now - arrival) :: t.lats
+    end
+    else t.failed <- t.failed + 1
+
+  let throughput t =
+    if t.end_ns = 0 then 0.0
+    else float_of_int t.committed /. (float_of_int t.end_ns /. 1_000.0)
+
+  let latency t =
+    let a = Array.of_list t.lats in
+    Array.sort compare a;
+    if Array.length a = 0 then (0.0, 0.0, 0.0)
+    else (Stats.mean a, Stats.percentile a 0.5, Stats.percentile a 0.99)
+end
+
 type config = {
   shards : int;
   keys : int;
@@ -87,11 +104,6 @@ type config = {
   read_pct : int;
   cross_pct : int;  (* cross-shard transfers, % of all txns *)
   lease_ns : int;  (* read-lease extension granted per read *)
-  op_ns : int;  (* shard occupancy per transaction step *)
-  msg_ns : int;  (* shard occupancy per delivered message *)
-  seq_ns : int;  (* sequencer occupancy per stamp (logical source) *)
-  retry_ns : int;  (* backoff unit for locked keys *)
-  max_retries : int;
   dur_ns : int;  (* arrival window; the run then drains *)
   source : source;
 }
@@ -105,12 +117,7 @@ let default =
     batch = 1;
     read_pct = 50;
     cross_pct = 10;
-    lease_ns = 3_000;
-    op_ns = 120;
-    msg_ns = 250;
-    seq_ns = 220;
-    retry_ns = 400;
-    max_retries = 8;
+    lease_ns = Key.lease_ns;
     dur_ns = 200_000;
     source = Ordo;
   }
@@ -132,8 +139,17 @@ type result = {
   end_ns : int;  (* cluster time when the last transaction resolved *)
   boundary : int;
   sum_values : int;  (* final sum over all keys (conservation check) *)
+  expected_sum : int;  (* keys * 100 plus committed increments *)
   locks_left : int;  (* keys still locked at drain (must be 0) *)
 }
+
+let breaches r =
+  let unless ok msg = if ok then [] else [ msg ] in
+  unless (r.issued = r.committed + r.aborted)
+    (Printf.sprintf "%d issued but %d committed + %d aborted" r.issued r.committed r.aborted)
+  @ unless (r.sum_values = r.expected_sum)
+      (Printf.sprintf "conservation: sum %d, expected %d" r.sum_values r.expected_sum)
+  @ unless (r.locks_left = 0) (Printf.sprintf "%d locks leaked" r.locks_left)
 
 type op = Read of int | Incr of int | Transfer of int * int
 
@@ -149,13 +165,8 @@ type msg =
   | SeqReq of { shard : int; tx : txn }
   | SeqResp of { tx : txn; ts : int }
 
-type key_state = Key.t = {
-  mutable value : int;
-  mutable ver : int;
-  mutable wts : int;  (* timestamp of the installed version *)
-  mutable rts : int;  (* read lease: no write may commit at or below this *)
-  mutable locked : bool;
-}
+(* Sequencer occupancy per stamp (logical source). *)
+let seq_ns = 220
 
 let run ~boundary (spec : Net.Spec.t) (cfg : config) =
   if cfg.shards <> spec.Net.Spec.nodes then
@@ -172,15 +183,13 @@ let run ~boundary (spec : Net.Spec.t) (cfg : config) =
   let shard_of k = k mod s in
   let tbl = Array.init cfg.keys (fun _ -> Key.make ~value:100) in
   let issued = ref 0
-  and committed = ref 0
-  and aborted = ref 0
   and cross_issued = ref 0
   and cross_committed = ref 0
   and renewals = ref 0
   and commit_waits = ref 0
   and wait_ns = ref 0
-  and end_ns = ref 0 in
-  let lats = ref [] in
+  and incrs = ref 0 in
+  let tally = Tally.create () in
   let seq_counter = ref 0 in
   (* Coordinator context parked while a logical cross-shard txn fetches
      its stamp: txid -> participant version from the Prepared vote. *)
@@ -202,14 +211,14 @@ let run ~boundary (spec : Net.Spec.t) (cfg : config) =
   (* -- shard-side transaction steps -- *)
   let rec retry tx shard reply =
     tx.tries <- tx.tries + 1;
-    if tx.tries > cfg.max_retries then begin
+    if tx.tries > Key.max_retries then begin
       (* Cross-shard coordinators never hold the local lock here: the
          lock is taken only once the txn gets past this point. *)
       finish tx false shard reply
     end
     else
-      Net.at net ~node:shard ~delay:(cfg.retry_ns * tx.tries) (fun () ->
-          Net.busy net shard cfg.op_ns;
+      Net.at net ~node:shard ~delay:(Key.retry_ns * tx.tries) (fun () ->
+          Net.busy net shard Key.op_ns;
           step_txn tx shard None)
 
   and step_txn tx shard reply =
@@ -220,9 +229,9 @@ let run ~boundary (spec : Net.Spec.t) (cfg : config) =
       else begin
         match cfg.source with
         | Ordo ->
-          let read_ts = max (clock shard) st.wts in
-          if st.rts >= read_ts then incr renewals;
-          st.rts <- max st.rts (read_ts + cfg.lease_ns);
+          let rts = st.rts in
+          let read_ts = Key.read st ~clock:(clock shard) ~lease_ns:cfg.lease_ns in
+          if rts >= read_ts then incr renewals;
           emit_tx shard ~start_ts:read_ts ~reads:[ (k, st.ver) ] ~installs:[]
             ~commit_ts:read_ts;
           finish tx true shard reply
@@ -234,12 +243,10 @@ let run ~boundary (spec : Net.Spec.t) (cfg : config) =
       else begin
         match cfg.source with
         | Ordo ->
-          let ts = max (clock shard) (max (st.wts + 1) (st.rts + 1)) in
+          let ts = Key.write_ts st ~floor:0 ~clock:(clock shard) in
           let old = st.ver in
-          st.ver <- old + 1;
-          st.wts <- ts;
-          st.rts <- max st.rts ts;
-          st.value <- st.value + 1;
+          Key.install st ~delta:1 ~ver:(old + 1) ~ts;
+          incr incrs;
           emit_tx shard ~start_ts:ts ~reads:[ (k, old) ] ~installs:[ (k, old + 1) ]
             ~commit_ts:ts;
           finish tx true shard reply
@@ -256,7 +263,7 @@ let run ~boundary (spec : Net.Spec.t) (cfg : config) =
         st.locked <- true;
         let prop =
           match cfg.source with
-          | Ordo -> max (clock shard) (max (st.wts + 1) (st.rts + 1))
+          | Ordo -> Key.write_ts st ~floor:0 ~clock:(clock shard)
           | Logical -> 0
         in
         Net.send net ~src:shard ~dst:(shard_of b) (Prepare { tx; coord = shard; prop })
@@ -269,11 +276,7 @@ let run ~boundary (spec : Net.Spec.t) (cfg : config) =
     let a, b = match tx.op with Transfer (a, b) -> (a, b) | _ -> assert false in
     let st = tbl.(a) in
     let ver_a = st.ver in
-    st.ver <- ver_a + 1;
-    st.wts <- final;
-    st.rts <- max st.rts final;
-    st.value <- st.value - 1;
-    st.locked <- false;
+    Key.install st ~delta:(-1) ~ver:(ver_a + 1) ~ts:final;
     (* The commit-wait contract (only meaningful for the Ordo source):
        the published timestamp is certainly after the joint proposal. *)
     (match cfg.source with
@@ -292,16 +295,16 @@ let run ~boundary (spec : Net.Spec.t) (cfg : config) =
   Net.on_message net (fun src dst m ->
       match m with
       | Req txns ->
-        Net.busy net dst cfg.msg_ns;
+        Net.busy net dst Key.msg_ns;
         let acc = ref [] in
         List.iter
           (fun tx ->
-            Net.busy net dst cfg.op_ns;
+            Net.busy net dst Key.op_ns;
             step_txn tx dst (Some acc))
           txns;
         if !acc <> [] then Net.send net ~src:dst ~dst:client (Reply (List.rev !acc))
       | Prepare { tx; coord; prop } ->
-        Net.busy net dst (cfg.msg_ns + cfg.op_ns);
+        Net.busy net dst (Key.msg_ns + Key.op_ns);
         let b = match tx.op with Transfer (_, b) -> b | _ -> assert false in
         let st = tbl.(b) in
         if st.locked then Net.send net ~src:dst ~dst:coord (Conflict { tx })
@@ -309,72 +312,62 @@ let run ~boundary (spec : Net.Spec.t) (cfg : config) =
           st.locked <- true;
           let prop' =
             match cfg.source with
-            | Ordo -> max prop (max (clock dst) (max (st.wts + 1) (st.rts + 1)))
+            | Ordo -> Key.write_ts st ~floor:prop ~clock:(clock dst)
             | Logical -> 0
           in
           Net.send net ~src:dst ~dst:coord (Prepared { tx; ver = st.ver; prop = prop' })
         end
       | Conflict { tx } ->
-        Net.busy net dst cfg.msg_ns;
+        Net.busy net dst Key.msg_ns;
         let a = match tx.op with Transfer (a, _) -> a | _ -> assert false in
         tbl.(a).locked <- false;
         finish tx false dst None
       | Prepared { tx; ver; prop } -> (
-        Net.busy net dst (cfg.msg_ns + cfg.op_ns);
+        Net.busy net dst (Key.msg_ns + Key.op_ns);
         match cfg.source with
         | Ordo ->
           let commit_ts0 = prop in
           let c = clock dst in
-          if c > commit_ts0 + boundary then
-            commit_cross tx dst ~commit_ts0 ~final:c ~ver_b:ver
-          else begin
+          (match Key.commit_delay ~joint:commit_ts0 ~boundary ~clock:c with
+          | 0 -> commit_cross tx dst ~commit_ts0 ~final:c ~ver_b:ver
+          | delay ->
             (* Spanner-style commit wait: sit out the uncertainty window
                so the commit timestamp is certainly past everywhere. *)
-            let delay = commit_ts0 + boundary + 1 - c in
             incr commit_waits;
             wait_ns := !wait_ns + delay;
             Net.at net ~node:dst ~delay (fun () ->
-                commit_cross tx dst ~commit_ts0 ~final:(clock dst) ~ver_b:ver)
-          end
+                commit_cross tx dst ~commit_ts0 ~final:(clock dst) ~ver_b:ver))
         | Logical ->
           Hashtbl.replace pending_ver tx.id ver;
           Net.send net ~src:dst ~dst:seqr (SeqReq { shard = dst; tx }))
       | Commit { tx; ver; ts } ->
-        Net.busy net dst (cfg.msg_ns + cfg.op_ns);
+        Net.busy net dst (Key.msg_ns + Key.op_ns);
         let b = match tx.op with Transfer (_, b) -> b | _ -> assert false in
-        let st = tbl.(b) in
-        st.ver <- ver;
-        st.wts <- ts;
-        st.rts <- max st.rts ts;
-        st.value <- st.value + 1;
-        st.locked <- false
+        Key.install tbl.(b) ~delta:1 ~ver ~ts
       | SeqReq { shard; tx } ->
         (* The contended resource of the logical baseline: one counter,
            one node, every stamp serialized through its occupancy. *)
-        Net.busy net dst cfg.seq_ns;
+        Net.busy net dst seq_ns;
         incr seq_counter;
         Net.send net ~src:dst ~dst:shard (SeqResp { tx; ts = !seq_counter })
       | SeqResp { tx; ts } -> (
-        Net.busy net dst cfg.msg_ns;
+        Net.busy net dst Key.msg_ns;
         match tx.op with
         | Read k ->
           let st = tbl.(k) in
           (* A commit may have installed a higher stamp while this one
              round-tripped; serve the read at the version's timestamp. *)
-          let read_ts = max ts st.wts in
-          if st.rts >= read_ts then incr renewals;
-          st.rts <- max st.rts read_ts;
+          let rts = st.rts in
+          let read_ts = Key.read st ~clock:ts ~lease_ns:0 in
+          if rts >= read_ts then incr renewals;
           emit_tx dst ~start_ts:read_ts ~reads:[ (k, st.ver) ] ~installs:[]
             ~commit_ts:read_ts;
           finish tx true dst None
         | Incr k ->
           let st = tbl.(k) in
           let old = st.ver in
-          st.ver <- old + 1;
-          st.wts <- ts;
-          st.rts <- max st.rts ts;
-          st.value <- st.value + 1;
-          st.locked <- false;
+          Key.install st ~delta:1 ~ver:(old + 1) ~ts;
+          incr incrs;
           emit_tx dst ~start_ts:ts ~reads:[ (k, old) ] ~installs:[ (k, old + 1) ]
             ~commit_ts:ts;
           finish tx true dst None
@@ -385,13 +378,7 @@ let run ~boundary (spec : Net.Spec.t) (cfg : config) =
       | Reply lst ->
         ignore src;
         List.iter
-          (fun (tx, ok) ->
-            if Net.now net > !end_ns then end_ns := Net.now net;
-            if ok then begin
-              incr committed;
-              lats := float_of_int (Net.now net - tx.arrival) :: !lats
-            end
-            else incr aborted)
+          (fun (tx, ok) -> Tally.record tally ~now:(Net.now net) ~arrival:tx.arrival ok)
           lst);
 
   (* -- client: open-loop arrivals, Zipf keys, per-shard batching -- *)
@@ -449,30 +436,28 @@ let run ~boundary (spec : Net.Spec.t) (cfg : config) =
   Net.at net ~node:client ~delay:(gap ()) arrive;
   Net.run net;
 
-  let lats = Array.of_list !lats in
-  let pct p = if Array.length lats = 0 then 0.0 else Stats.percentile lats p in
-  let sum_values = Array.fold_left (fun acc st -> acc + st.value) 0 tbl in
+  let mean_ns, p50_ns, p99_ns = Tally.latency tally in
+  let sum_values = Array.fold_left (fun acc (st : Key.t) -> acc + st.value) 0 tbl in
   let locks_left =
-    Array.fold_left (fun acc st -> acc + if st.locked then 1 else 0) 0 tbl
+    Array.fold_left (fun acc (st : Key.t) -> acc + if st.locked then 1 else 0) 0 tbl
   in
   {
     issued = !issued;
-    committed = !committed;
-    aborted = !aborted;
+    committed = tally.committed;
+    aborted = tally.failed;
     cross_issued = !cross_issued;
     cross_committed = !cross_committed;
-    throughput =
-      (if !end_ns = 0 then 0.0
-       else float_of_int !committed /. (float_of_int !end_ns /. 1_000.0));
-    mean_ns = (if Array.length lats = 0 then 0.0 else Stats.mean lats);
-    p50_ns = pct 0.5;
-    p99_ns = pct 0.99;
+    throughput = Tally.throughput tally;
+    mean_ns;
+    p50_ns;
+    p99_ns;
     messages = Net.delivered net;
     renewals = !renewals;
     commit_waits = !commit_waits;
     wait_ns = !wait_ns;
-    end_ns = !end_ns;
+    end_ns = tally.end_ns;
     boundary;
     sum_values;
+    expected_sum = (cfg.keys * 100) + !incrs;
     locks_left;
   }

@@ -8,7 +8,8 @@
     source — a Spanner-style commit wait over the composed boundary.
     Reads are Tardis-style leases: served at [max(clock, wts)], renewing
     the key's read lease instead of invalidating, so read-mostly keys
-    never bounce between nodes.
+    never bounce between nodes.  Every stamp, install and commit wait
+    follows the key-state kernel ({!Key}).
 
     When an {!Ordo_trace.Trace} sink is installed, the service emits
     (with [tid] = node id) [Clock_read] events for every protocol clock
@@ -22,20 +23,6 @@ type source =
   | Ordo  (** per-node clocks under the composed cluster boundary *)
 
 val source_name : source -> string
-
-(** Versioned-lease key state, shared with the service layer built on
-    this store ({!Ordo_service}). *)
-module Key : sig
-  type t = {
-    mutable value : int;
-    mutable ver : int;
-    mutable wts : int;  (** timestamp of the installed version *)
-    mutable rts : int;  (** read lease: no write may commit at or below it *)
-    mutable locked : bool;
-  }
-
-  val make : value:int -> t
-end
 
 (** Trace vocabulary hooks: the [Clock_read]/[tx.*]/[ordo.new_time]
     emission discipline, exported so higher layers speak the same probe
@@ -58,6 +45,24 @@ module Obs : sig
   (** Emit one committed transaction's probe group atomically. *)
 end
 
+(** Client-side outcome tally, shared with the service layer: every
+    resolved operation is recorded at the client when its reply lands. *)
+module Tally : sig
+  type t = {
+    mutable committed : int;
+    mutable failed : int;
+    mutable end_ns : int;  (** cluster time of the last resolution *)
+    mutable lats : float list;  (** committed ops' arrival-to-reply ns *)
+  }
+
+  val create : unit -> t
+  val record : t -> now:int -> arrival:int -> bool -> unit
+  val throughput : t -> float  (** committed ops per µs of [end_ns] *)
+
+  val latency : t -> float * float * float
+  (** [(mean, p50, p99)] of the committed latencies; zeros when none. *)
+end
+
 type config = {
   shards : int;  (** must equal the spec's node count *)
   keys : int;
@@ -67,11 +72,6 @@ type config = {
   read_pct : int;
   cross_pct : int;  (** cross-shard transfers, % of all transactions *)
   lease_ns : int;  (** read-lease extension granted per read *)
-  op_ns : int;  (** shard occupancy per transaction step *)
-  msg_ns : int;  (** shard occupancy per delivered message *)
-  seq_ns : int;  (** sequencer occupancy per stamp (logical source) *)
-  retry_ns : int;  (** backoff unit when a key is locked *)
-  max_retries : int;
   dur_ns : int;  (** arrival window; the run then drains to completion *)
   source : source;
 }
@@ -94,9 +94,14 @@ type result = {
   wait_ns : int;  (** total commit-wait time *)
   end_ns : int;  (** cluster time at which the last transaction resolved *)
   boundary : int;
-  sum_values : int;  (** final sum over all keys (conservation check) *)
+  sum_values : int;  (** final sum over all keys: must equal [expected_sum] *)
+  expected_sum : int;  (** [keys * 100] plus committed increments *)
   locks_left : int;  (** keys still locked after the drain — must be 0 *)
 }
+
+val breaches : result -> string list
+(** The invariant battery, one message per breach ([[]] = all hold):
+    every issued transaction resolved, conservation, no leaked lock. *)
 
 val run : boundary:int -> Net.Spec.t -> config -> result
 (** [run ~boundary spec cfg] executes one deterministic service run.

@@ -252,7 +252,6 @@ let sent t = t.sent_
 let delivered t = t.delivered_
 let dropped t = t.dropped_
 let offset_truth t n = t.offsets.(n)
-let node_machine t n = t.node_tbl.(n).machine
 let on_message t f = t.handler <- f
 
 let link t src dst =

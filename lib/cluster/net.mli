@@ -111,10 +111,6 @@ val offset_truth : 'm t -> int -> int
     node 0's).  For reports and tests only: protocol code must not read
     it — that is what the composed measurement is for. *)
 
-val node_machine : 'm t -> int -> Ordo_sim.Machine.t
-(** Node [n]'s machine model, clock offset folded into its RESET
-    offsets. *)
-
 val on_message : 'm t -> (int -> int -> 'm -> unit) -> unit
 (** [on_message t f] installs the delivery handler: [f src dst msg] runs
     at the delivery instant on the destination node. *)

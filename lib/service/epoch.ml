@@ -21,11 +21,9 @@ let create ~epoch_ns =
   { epoch_ns; buf = []; joint = 0; is_open = false; epochs = 0; members = 0 }
 
 let enabled t = t.epoch_ns > 0
-let interval t = t.epoch_ns
-let is_open t = t.is_open
 
 (* [true] = this member opened the epoch: the caller arms the close
-   timer ([interval] ns from now). *)
+   timer ([epoch_ns] from now). *)
 let add t ~prop x =
   let first = not t.is_open in
   if first then begin

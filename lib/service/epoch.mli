@@ -11,12 +11,10 @@ val create : epoch_ns:int -> 'a t
     own epoch).  Raises [Invalid_argument] on a negative interval. *)
 
 val enabled : 'a t -> bool
-val interval : 'a t -> int
-val is_open : 'a t -> bool
 
 val add : 'a t -> prop:int -> 'a -> bool
 (** [true] = this member opened the epoch; the caller arms the close
-    timer, {!interval} ns from now. *)
+    timer, [epoch_ns] from now. *)
 
 val close : 'a t -> (int * 'a list) option
 (** [(joint_proposal, members)] in add order; [None] if no epoch open. *)

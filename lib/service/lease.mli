@@ -31,13 +31,7 @@ val degraded_read_ts : wts:int -> rts:int -> until:int -> clock:int -> int optio
     [rts] ahead of the new primary's.  [None] when no such point exists
     and the read must be shed. *)
 
-val write_floor : floor:int -> wts:int -> rts:int -> int
-(** Per-key stamp floor for a write: above the node floor, the installed
-    version and every granted read lease. *)
-
-val failover_patience :
-  policy:Ordo_core.Guard.policy -> boundary:int -> term_ns:int -> int
-(** Ns past [until] (on the backup's own clock) before failover, per the
-    Guard reaction policy: [Fallback] as soon as expiry is certain,
-    [Inflate] under a 4x-inflated bound, [Remeasure] per its hook.
-    Group rank offsets are layered on top by the caller. *)
+val failover_patience : boundary:int -> int
+(** Ns past [until] (on the backup's own clock) before failover:
+    [boundary + 1], as soon as expiry is certain on every clock.  Group
+    rank offsets are layered on top by the caller. *)

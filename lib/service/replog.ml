@@ -65,11 +65,3 @@ let shipped t = t.shipped
 let applied_seq t = t.applied
 let applied t = t.applied_n
 let dups t = t.dups
-
-let op_name = function
-  | Install _ -> "install"
-  | Lease_ext _ -> "lease_ext"
-  | Prep _ -> "prep"
-  | Decide _ -> "decide"
-  | Done _ -> "done"
-  | Acked _ -> "acked"

@@ -44,4 +44,3 @@ val shipped : t -> int
 val applied_seq : t -> int
 val applied : t -> int
 val dups : t -> int
-val op_name : op -> string

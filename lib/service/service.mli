@@ -2,14 +2,14 @@
     composition of the repo's layers.
 
     {!Ordo_workloads.Sessions} traffic drives replica groups of
-    {!Ordo_cluster.Kv.Key}-shaped stores: Tardis read leases, locked-key
-    retries and cross-group 2PC exactly as in the cluster KV, plus
+    {!Ordo_cluster.Key} stores: Tardis read leases, locked-key retries
+    and cross-group 2PC under the cluster KV's timestamp rules, plus
     Silo-style epoch group commit (one Ordo commit-wait and one
     [ordo.new_time] probe per {e epoch} instead of per cross-shard
     transaction), per-shard admission control ({!Admission}),
     primary → backup replication over a sequenced idempotent stream
-    ({!Replog}), and lease-based failover ({!Lease}) whose patience
-    follows the {!Ordo_core.Guard} reaction policy.
+    ({!Replog}), and lease-based failover ({!Lease}) once the old
+    lease has certainly expired on every clock.
 
     The flush discipline makes leader death exactly-once: replication
     entries ship to the backups before any client reply or 2PC message
@@ -30,19 +30,6 @@ type config = {
           transfer partner distance is forced to the group count *)
   adm : Admission.config;
   epoch_ns : int;  (** group-commit epoch; 0 = per-transaction commit wait *)
-  term_ns : int;  (** leadership lease term *)
-  heartbeat_ns : int;  (** lease renewal / failure-detector tick *)
-  lease_ns : int;  (** read-lease extension granted per read *)
-  op_ns : int;  (** shard occupancy per request step *)
-  msg_ns : int;  (** node occupancy per delivered message *)
-  retry_ns : int;  (** server-side locked-key backoff unit *)
-  max_retries : int;  (** locked-key retries before failing the op *)
-  client_retry_ns : int;  (** client retransmit patience *)
-  max_attempts : int;  (** client attempts (sheds included) before giving up *)
-  prep_abort_ns : int;  (** coordinator patience before presuming a prepare dead *)
-  rexmit_ns : int;  (** decision retransmit interval *)
-  rexmit_cap : int;  (** decision retransmits before giving up *)
-  policy : Ordo_core.Guard.policy;  (** failover patience policy *)
   seed : int;
 }
 
@@ -88,6 +75,11 @@ type result = {
   timeline : Chaos.event list;  (** KILLED/DEGRADED/PROMOTED/RESTARTED/RECOVERED *)
 }
 
+val breaches : result -> string list
+(** The invariant battery, one message per breach ([[]] = all hold):
+    every issued op resolved, conservation, no leaked lock, no replica
+    divergence. *)
+
 val run :
   boundary:int ->
   ?fault:Ordo_hazard.Node_fault.t ->
@@ -99,4 +91,4 @@ val run :
     [boundary] is the composed cluster [ORDO_BOUNDARY]; [fault] an
     optional chaos scenario (validated against the spec's node count).
     Raises [Invalid_argument] on fewer than 2 groups, a negative
-    boundary/epoch, degenerate timers, or an invalid fault scenario. *)
+    boundary/epoch, or an invalid fault scenario. *)

@@ -461,3 +461,15 @@ let describe r =
     reads r.new_times r.committed r.aborted r.edges r.ambiguous r.boundary hazards
     (if ok r then "OK" else Printf.sprintf "%d VIOLATIONS" (List.length r.violations))
   :: List.map describe_violation r.violations
+
+(* The verdict line (or, [~terse], the bench column) for a checked run,
+   and whether it passes.  Coverage comes first: a trace whose rings
+   dropped events certifies nothing, whatever the surviving events say. *)
+let verdict ?(terse = false) (t : Trace.t) r =
+  if t.dropped > 0 then (false, Printf.sprintf "incomplete (%d events dropped)" t.dropped)
+  else if ok r then (true, if terse then "ok" else "ok (0 violations)")
+  else
+    ( false,
+      Printf.sprintf
+        (if terse then "%d violations" else "%d violation(s)")
+        (List.length r.violations) )

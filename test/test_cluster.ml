@@ -9,6 +9,7 @@ module Net = Ordo_cluster.Net
 module Spec = Ordo_cluster.Net.Spec
 module Compose = Ordo_cluster.Compose
 module Kv = Ordo_cluster.Kv
+module Key = Ordo_cluster.Key
 module Trace = Ordo_trace.Trace
 module Checker = Ordo_trace.Checker
 
@@ -200,17 +201,26 @@ let test_kv_deterministic () =
 
 let test_kv_completes_and_conserves () =
   List.iter
-    (fun source ->
-      let cfg = { base_cfg with Kv.read_pct = 0; cross_pct = 100; source } in
-      let r = run_kv cfg in
-      let name = Kv.source_name source in
-      check Alcotest.bool (name ^ " issued some") true (r.Kv.issued > 0);
-      check Alcotest.int (name ^ " all resolved") r.Kv.issued (r.Kv.committed + r.Kv.aborted);
-      check Alcotest.int (name ^ " no locks left") 0 r.Kv.locks_left;
-      (* Transfers move value between keys; the total is invariant. *)
-      check Alcotest.int (name ^ " conservation") (base_cfg.Kv.keys * 100) r.Kv.sum_values;
-      check Alcotest.bool (name ^ " cross committed") true (r.Kv.cross_committed > 0))
-    [ Kv.Logical; Kv.Ordo ]
+    (fun (mix, cfg) ->
+      List.iter
+        (fun source ->
+          let r = run_kv { cfg with Kv.source } in
+          let name = mix ^ " " ^ Kv.source_name source in
+          check Alcotest.bool (name ^ " issued some") true (r.Kv.issued > 0);
+          check Alcotest.int (name ^ " all resolved") r.Kv.issued (r.Kv.committed + r.Kv.aborted);
+          check Alcotest.int (name ^ " no locks left") 0 r.Kv.locks_left;
+          (* Transfers move value between keys; only committed increments
+             change the total. *)
+          check Alcotest.int (name ^ " conservation") r.Kv.expected_sum r.Kv.sum_values;
+          if cfg.Kv.cross_pct = 100 then
+            check Alcotest.int (name ^ " seed total") (cfg.Kv.keys * 100) r.Kv.expected_sum;
+          check Alcotest.(list string) (name ^ " no breaches") [] (Kv.breaches r);
+          check Alcotest.bool (name ^ " cross committed") true (r.Kv.cross_committed > 0))
+        [ Kv.Logical; Kv.Ordo ])
+    [
+      ("transfers", { base_cfg with Kv.read_pct = 0; cross_pct = 100 });
+      ("default mix", base_cfg);
+    ]
 
 let checker_report ?boundary cfg =
   let spec = Spec.make ~machine:"amd" cfg.Kv.shards in
@@ -235,6 +245,22 @@ let test_kv_checker_clean () =
         true
         (rep.Checker.committed = r.Kv.committed))
     [ Kv.Logical; Kv.Ordo ]
+
+let test_kv_incomplete_trace () =
+  (* Rings far smaller than the run: whatever the surviving events say,
+     the verdict must not certify a trace that dropped events. *)
+  let spec = Spec.make ~machine:"amd" base_cfg.Kv.shards in
+  Sim.with_fresh_instance @@ fun () ->
+  let boundary = (measure spec).Compose.boundary in
+  Trace.start ~capacity:256 ();
+  let (_ : Kv.result) = Kv.run ~boundary spec base_cfg in
+  let t = Trace.stop () in
+  let ok, text = Checker.verdict t (Checker.check ~boundary t) in
+  check Alcotest.bool "events dropped" true (t.Trace.dropped > 0);
+  check Alcotest.bool "not ok" false ok;
+  check Alcotest.string "says incomplete"
+    (Printf.sprintf "incomplete (%d events dropped)" t.Trace.dropped)
+    text
 
 let test_kv_fixture_flagged () =
   Sim.with_fresh_instance @@ fun () ->
@@ -269,6 +295,36 @@ let test_kv_rejects_mismatch () =
     (Invalid_argument "Kv.run: spec must have exactly one node per shard") (fun () ->
       ignore (Kv.run ~boundary:0 spec { base_cfg with Kv.source = Kv.Logical }))
 
+(* ---- key-state kernel ---- *)
+
+let stamp = QCheck2.Gen.int_range 0 1_000_000
+
+let key_of (wts, lag) = { (Key.make ~value:100) with Key.wts; rts = wts + lag }
+
+let test_key_write_ts =
+  qtest ~count:500 "key: write stamp clears wts, rts, floor and clock"
+    QCheck2.Gen.(triple (pair stamp stamp) stamp stamp)
+    (fun (wl, floor, clock) ->
+      let k = key_of wl in
+      let ts = Key.write_ts k ~floor ~clock in
+      ts > k.Key.wts && ts > k.Key.rts && ts >= floor && ts >= clock)
+
+let test_key_read =
+  qtest ~count:500 "key: read stamp covers wts and clock, lease covers it"
+    QCheck2.Gen.(triple (pair stamp stamp) stamp (int_range 0 10_000))
+    (fun (wl, clock, lease_ns) ->
+      let k = key_of wl in
+      let ts = Key.read k ~clock ~lease_ns in
+      ts >= k.Key.wts && ts >= clock && k.Key.rts >= ts + lease_ns)
+
+let test_key_commit_delay =
+  qtest ~count:500 "key: commit wait ends just past joint + boundary"
+    QCheck2.Gen.(triple stamp (int_range 0 10_000) stamp)
+    (fun (joint, boundary, clock) ->
+      let d = Key.commit_delay ~joint ~boundary ~clock in
+      (d = 0) = (clock > joint + boundary)
+      && (d = 0 || clock + d = joint + boundary + 1))
+
 let suite =
   [
     ("instance advance_to", `Quick, test_advance_to);
@@ -286,7 +342,11 @@ let suite =
     ("kv conservation (both sources)", `Quick, test_kv_completes_and_conserves);
     ("kv checker clean (both sources)", `Quick, test_kv_checker_clean);
     ("kv fixture flagged", `Quick, test_kv_fixture_flagged);
+    ("kv small rings: verdict incomplete", `Quick, test_kv_incomplete_trace);
     ("kv lease renewals", `Quick, test_kv_lease_renewals);
     ("kv batching reduces messages", `Quick, test_kv_batching_reduces_messages);
     ("kv shard/spec mismatch", `Quick, test_kv_rejects_mismatch);
+    test_key_write_ts;
+    test_key_read;
+    test_key_commit_delay;
   ]

@@ -217,14 +217,14 @@ let test_lease_read_never_past_rts =
            expired; its floor is > until + boundary >= t + 1 *)
         && t < Lease.promotion_floor ~until ~boundary:bnd ~now:(until + bnd + 1))
 
-let test_lease_write_floor =
+let test_key_write_floor =
   let gen =
     QCheck2.Gen.(
       triple (int_range 0 1_000_000) (int_range 0 1_000_000) (int_range 0 1_000_000))
   in
   qtest ~count:500 "write floor clears version, leases and node floor" gen
     (fun (floor, wts, rts) ->
-      let f = Lease.write_floor ~floor ~wts ~rts in
+      let f = Ordo_cluster.Key.write_floor ~floor ~wts ~rts in
       f >= floor && f > wts && f > rts)
 
 (* ---- chaos: kill a primary mid-2PC ---- *)
@@ -269,6 +269,44 @@ let test_chaos_primary_kill () =
   check Alcotest.bool "promotes after degrading" true (idx "DEGRADED" < idx "PROMOTED");
   check Alcotest.bool "recovers after the restart" true (idx "RESTARTED" < idx "RECOVERED")
 
+let test_chaos_unreplicated_restart () =
+  (* replicas = 1: no backup can take over, so the killed primary itself
+     resumes leadership over its durable store on restart (presume-abort,
+     decision re-chase, new term) — never a promotion. *)
+  List.iter
+    (fun (spec_s, preset, name) ->
+      let spec = spec_of spec_s in
+      let groups = Spec.groups spec in
+      let cfg =
+        {
+          base_cfg with
+          Service.profile =
+            { base_cfg.Service.profile with Sessions.sessions = 150; dur_ns = 400_000 };
+        }
+      in
+      let fault = preset ~seed:cfg.Service.seed ~dur:400_000 ~groups ~replicas:1 in
+      let r, rep = run_service ~fault spec cfg in
+      let label = spec_s ^ " " ^ name in
+      assert_invariants label r;
+      assert_checker label rep;
+      check Alcotest.(list string) (label ^ " no breaches") [] (Service.breaches r);
+      let phases = phases_of r.Service.timeline in
+      let idx p =
+        match index_of p phases with
+        | Some i -> i
+        | None -> Alcotest.failf "%s: timeline missing %s" label p
+      in
+      check Alcotest.bool (label ^ " restarts after the kill") true
+        (idx "KILLED" < idx "RESTARTED");
+      check Alcotest.bool (label ^ " recovers after the restart") true
+        (idx "RESTARTED" < idx "RECOVERED");
+      check Alcotest.bool (label ^ " never promotes") true (index_of "PROMOTED" phases = None);
+      check Alcotest.int (label ^ " no promotions") 0 r.Service.promotions)
+    [
+      ("3x1xamd", Node_fault.primary_kill, "primary_kill");
+      ("2x1xamd", Node_fault.rolling, "rolling");
+    ]
+
 let test_chaos_fault_validated () =
   let spec = spec_of "2x2xamd" in
   let bad = { Node_fault.name = "oob"; events = [ { Node_fault.at = 10; action = Node_fault.Kill { node = 99 } } ] } in
@@ -290,7 +328,8 @@ let suite =
     case "epoch batches unit" test_epoch_unit;
     case "lease unit" test_lease_unit;
     test_lease_read_never_past_rts;
-    test_lease_write_floor;
+    test_key_write_floor;
     case "chaos: primary killed mid-run" test_chaos_primary_kill;
+    case "chaos: unreplicated primary restarts" test_chaos_unreplicated_restart;
     case "chaos: fault scenarios validated" test_chaos_fault_validated;
   ]
