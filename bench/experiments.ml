@@ -857,7 +857,7 @@ let ext_hazard ~full =
     let t0 =
       if Array.length t.Trace.events > 0 then t.Trace.events.(0).Trace.time else 0
     in
-    (wins, summary, Checker.ok report, t0, t.Trace.dropped)
+    (wins, summary, fst (Checker.verdict t report), t0, t.Trace.dropped)
   in
   let configs =
     [
@@ -1004,7 +1004,7 @@ let cluster ~full =
         in
         let t = Trace.stop () in
         let rep = Checker.check ~boundary:c.Compose.boundary t in
-        (node, stats, rep))
+        (node, stats, rep, snd (Checker.verdict ~terse:true t rep)))
       [ 0; 1; 2 ]
   in
   Report.table
@@ -1014,13 +1014,13 @@ let cluster ~full =
          c.Compose.boundary)
     ~header:[ "node"; "clock offset ns"; "events"; "commits"; "checker" ]
     (List.map
-       (fun (node, (stats : Ordo_sim.Engine.stats), (rep : Checker.report)) ->
+       (fun (node, (stats : Ordo_sim.Engine.stats), (rep : Checker.report), verdict) ->
          [
            string_of_int node;
            string_of_int (Net.offset_truth net node);
            string_of_int stats.Ordo_sim.Engine.events;
            string_of_int rep.Checker.committed;
-           (if Checker.ok rep then "ok" else "VIOLATIONS");
+           verdict;
          ])
        demo);
   (* Negative control: the seeded link-asymmetry fixture under the
@@ -1029,20 +1029,22 @@ let cluster ~full =
   let spec = Net.Spec.asymmetric_fixture () in
   let c = Compose.measure spec in
   let cfg = { Kv.default with Kv.shards = 2; dur_ns = 100_000; source = Kv.Ordo } in
-  let verdict boundary =
+  let checked boundary =
     Trace.start ~capacity:65536 ();
     let _ = Kv.run ~boundary spec cfg in
     let t = Trace.stop () in
-    Checker.check ~boundary t
+    (t, Checker.check ~boundary t)
   in
-  let flagged = verdict c.Compose.rtt2_boundary in
-  let clean = verdict c.Compose.boundary in
+  let _, flagged = checked c.Compose.rtt2_boundary in
+  let t, clean = checked c.Compose.boundary in
   Report.kv "asymmetry fixture, rtt/2 boundary"
     (Printf.sprintf "%d ns -> %d violation(s) flagged" c.Compose.rtt2_boundary
        (List.length flagged.Checker.violations));
   Report.kv "asymmetry fixture, composed boundary"
     (Printf.sprintf "%d ns -> %s" c.Compose.boundary
-       (if Checker.ok clean then "0 violations" else "UNEXPECTED violations"))
+       (match Checker.verdict t clean with
+       | true, _ -> "0 violations"
+       | false, v -> "UNEXPECTED " ^ v))
 
 (* ---------- Live: the work-stealing pool on real OCaml 5 domains ------- *)
 
@@ -1085,7 +1087,7 @@ let live_smoke ~full =
     (* tasks + the a/b chain + the root task *)
     (if executed = tasks + 3 then "ok" else Printf.sprintf "MISSING (%d)" executed);
   Report.kv "scheduler trace vs stock checker"
-    (if Checker.ok rep && rep.Checker.committed >= tasks then "ok" else "VIOLATIONS")
+    (if fst (Checker.verdict t rep) && rep.Checker.committed >= tasks then "ok" else "VIOLATIONS")
 
 let live_rates ~full =
   let workers = max 2 !H.jobs in

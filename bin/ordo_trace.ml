@@ -49,7 +49,7 @@ let run_workload name machine ts ~threads ~dur =
 
 (* ---- driver ---- *)
 
-let run machine_name workload source threads dur capacity out skew no_check analyze strict =
+let run machine_name workload source threads dur capacity out skew no_check analyze =
   (* Own simulator instance: boundary measurement and traced workload run
      on one continuous per-instance timeline. *)
   Sim.with_fresh_instance @@ fun () ->
@@ -85,15 +85,6 @@ let run machine_name workload source threads dur capacity out skew no_check anal
     let verdict = if analyze then Some (Race.stop ()) else None in
     let t = Trace.stop () in
     Report.kv "events collected" (string_of_int (Array.length t.Trace.events));
-    (* Strict mode: a wrapped ring means the offline checker would judge a
-       truncated stream — refuse to compute verdicts on it. *)
-    if strict && t.Trace.dropped > 0 then begin
-      Printf.eprintf
-        "--strict: %d events dropped to ring wrap-around (capacity %d); rerun with a larger \
-         --capacity\n"
-        t.Trace.dropped capacity;
-      exit 1
-    end;
     Metrics.print ~label:workload t;
     (match out with
     | None -> ()
@@ -110,8 +101,11 @@ let run machine_name workload source threads dur capacity out skew no_check anal
     if no_check then if race_bad then 1 else 0
     else begin
       let report = Checker.check ~boundary:check_boundary t in
-      List.iter print_endline (Checker.describe report);
-      if Checker.ok report && not race_bad then 0 else 1
+      (* A trace whose rings dropped events certifies nothing. *)
+      let ok, verdict = Checker.verdict t report in
+      if t.Trace.dropped > 0 then print_endline ("checker: " ^ verdict)
+      else List.iter print_endline (Checker.describe report);
+      if ok && not race_bad then 0 else 1
     end
 
 let machine_arg =
@@ -139,7 +133,10 @@ let dur_arg =
   Arg.(value & opt int 150_000 & info [ "dur" ] ~docv:"NS" ~doc)
 
 let capacity_arg =
-  let doc = "Per-thread event-ring capacity (oldest events drop; counters stay exact)." in
+  let doc =
+    "Per-thread event-ring capacity.  Oldest events drop (counters stay exact), and a \
+     trace that dropped any fails the check as incomplete."
+  in
   Arg.(value & opt int 16_384 & info [ "capacity" ] ~docv:"N" ~doc)
 
 let out_arg =
@@ -166,18 +163,11 @@ let analyze_arg =
   in
   Arg.(value & flag & info [ "analyze" ] ~doc)
 
-let strict_arg =
-  let doc =
-    "Fail (exit 1) if the event rings dropped anything, so no verdict is ever computed on \
-     a truncated stream."
-  in
-  Arg.(value & flag & info [ "strict" ] ~doc)
-
 let cmd =
   let doc = "Trace a simulated Ordo workload, export it, and check ordering invariants" in
   Cmd.v (Cmd.info "ordo-trace" ~doc)
     Term.(
       const run $ machine_arg $ workload_arg $ source_arg $ threads_arg $ dur_arg
-      $ capacity_arg $ out_arg $ skew_arg $ no_check_arg $ analyze_arg $ strict_arg)
+      $ capacity_arg $ out_arg $ skew_arg $ no_check_arg $ analyze_arg)
 
 let () = exit (Cmd.eval' cmd)

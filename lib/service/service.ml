@@ -60,7 +60,7 @@ module Sessions = Ordo_workloads.Sessions
 module Node_fault = Ordo_hazard.Node_fault
 
 type config = {
-  profile : Sessions.profile;  (** traffic shape; [keys] come from here *)
+  profile : Sessions.profile;
   adm : Admission.config;
   epoch_ns : int;  (** group-commit epoch; 0 = per-transaction commit wait *)
   seed : int;
@@ -173,8 +173,7 @@ type msg =
   | Snapshot of {
       term : int;
       seq : int;  (* stream position the snapshot is current as of *)
-      keys : (int * int * int * int * int * bool) list;
-          (* (key, value, ver, wts, rts, locked) *)
+      store : Key.t array;  (* a copy of the leader's whole store *)
       preps : prep list;
       dones : (int * bool * int) list;  (* (rid, ok, delta) *)
       decideds : (int * bool) list;
@@ -195,7 +194,6 @@ type nstate = {
   n_prep : (int, prep) Hashtbl.t;
   n_decided : (int, bool) Hashtbl.t;  (* txid -> commit? *)
   n_unacked : (int, undec) Hashtbl.t;
-  n_inflight : (int, int) Hashtbl.t;  (* rid -> txid (coordinator side) *)
   n_exec : (int, unit) Hashtbl.t;
       (* rids admitted but not yet resolved (locked-key backoff, open
          2PC): a retransmit of one of these must not execute again *)
@@ -246,7 +244,7 @@ let run ~boundary ?(fault = Node_fault.empty "none") spec cfg =
   (* transfers partner across groups: the traffic's partition count is
      the group count, whatever the profile said *)
   let profile = { cfg.profile with Sessions.partitions = groups } in
-  let keys = profile.Sessions.keys in
+  let keys = Sessions.keys in
   let nodes = spec.Net.Spec.nodes in
   let client = nodes in
   let net : msg Net.t = Net.create (Net.Spec.extend spec 1) in
@@ -286,7 +284,6 @@ let run ~boundary ?(fault = Node_fault.empty "none") spec cfg =
           n_prep = Hashtbl.create 32;
           n_decided = Hashtbl.create 256;
           n_unacked = Hashtbl.create 32;
-          n_inflight = Hashtbl.create 32;
           n_exec = Hashtbl.create 32;
           n_peer_ack = Hashtbl.create 4;
           n_held = [];
@@ -490,7 +487,6 @@ let run ~boundary ?(fault = Node_fault.empty "none") spec cfg =
     n.n_store.(p.pr_key).Key.locked <- false;
     Hashtbl.remove n.n_prep txid;
     Hashtbl.replace n.n_decided txid false;
-    Hashtbl.remove n.n_inflight p.pr_rid;
     Hashtbl.remove n.n_exec p.pr_rid;
     Hashtbl.replace n.n_done p.pr_rid (false, 0);
     Admission.release n.n_adm;
@@ -512,7 +508,6 @@ let run ~boundary ?(fault = Node_fault.empty "none") spec cfg =
     Key.install stk ~delta:(-1) ~ver:(old + 1) ~ts:final;
     Hashtbl.remove n.n_prep txid;
     Hashtbl.replace n.n_decided txid true;
-    Hashtbl.remove n.n_inflight p.pr_rid;
     Hashtbl.remove n.n_exec p.pr_rid;
     Hashtbl.replace n.n_done p.pr_rid (true, 0);
     Admission.release n.n_adm;
@@ -581,8 +576,7 @@ let run ~boundary ?(fault = Node_fault.empty "none") spec cfg =
       | None -> ());
       Hashtbl.replace n.n_decided txid commit
     | Replog.Done { rid; ok; delta } ->
-      Hashtbl.replace n.n_done rid (ok, delta);
-      Hashtbl.remove n.n_inflight rid
+      Hashtbl.replace n.n_done rid (ok, delta)
     | Replog.Acked { txid } -> Hashtbl.remove n.n_unacked txid
   in
 
@@ -704,7 +698,6 @@ let run ~boundary ?(fault = Node_fault.empty "none") spec cfg =
     n.n_syncing <- true;
     reset_volatile n;
     Hashtbl.reset n.n_prep;
-    Hashtbl.reset n.n_inflight;
     Hashtbl.reset n.n_unacked;
     Hashtbl.reset n.n_decided;
     Hashtbl.reset n.n_done;
@@ -798,7 +791,6 @@ let run ~boundary ?(fault = Node_fault.empty "none") spec cfg =
             pr_peer = peer_group;
             pr_coord = true;
           };
-        Hashtbl.replace n.n_inflight rid txid;
         buffer_entry n
           (Replog.Prep { txid; key = a; prop; rid; peer = peer_group; coord = true });
         (* flush before sync-ship: the prepare is on the backups before
@@ -921,7 +913,7 @@ let run ~boundary ?(fault = Node_fault.empty "none") spec cfg =
       end
     end
     else
-      Net.at net ~node:client ~delay:(Sessions.think_gap gen s) (fun () ->
+      Net.at net ~node:client ~delay:(Sessions.think_gap s) (fun () ->
           let op = Sessions.op gen s ~now:(Net.now net) in
           issue op (fun _ok -> session_loop s))
   in
@@ -959,7 +951,7 @@ let run ~boundary ?(fault = Node_fault.empty "none") spec cfg =
             (* retransmit of a resolved request: replay the outcome *)
             reply (if ok then Done_ok else Done_fail)
           | None ->
-            if Hashtbl.mem n.n_inflight rid || Hashtbl.mem n.n_exec rid then
+            if Hashtbl.mem n.n_exec rid then
               ()  (* still executing (2PC or locked-key backoff) *)
             else (
               match Admission.admit n.n_adm ~now:(Net.now net) with
@@ -1167,21 +1159,14 @@ let run ~boundary ?(fault = Node_fault.empty "none") spec cfg =
       if n.n_role = Leader && (not n.n_syncing) && group_of_node node = n.n_group
       then begin
         flush n;  (* snapshot = the shipped prefix *)
-        let ks = ref [] in
-        for k = keys - 1 downto 0 do
-          if group_of_key k = n.n_group then begin
-            let stk = n.n_store.(k) in
-            ks :=
-              (k, stk.Key.value, stk.Key.ver, stk.Key.wts, stk.Key.rts, stk.Key.locked)
-              :: !ks
-          end
-        done;
         Net.send net ~src:dst ~dst:node
           (Snapshot
              {
                term = n.n_term;
                seq = Replog.position n.n_log;
-               keys = !ks;
+               (* other groups' keys sit at their initial state on every
+                  node, so shipping the whole store changes nothing *)
+               store = Array.map (fun k -> { k with Key.value = k.Key.value }) n.n_store;
                preps = Hashtbl.fold (fun _ p acc -> p :: acc) n.n_prep [];
                dones = Hashtbl.fold (fun rid (ok, d) acc -> (rid, ok, d) :: acc) n.n_done [];
                decideds = Hashtbl.fold (fun txid cmt acc -> (txid, cmt) :: acc) n.n_decided [];
@@ -1193,19 +1178,11 @@ let run ~boundary ?(fault = Node_fault.empty "none") spec cfg =
         Hashtbl.replace n.n_peer_ack node (Replog.position n.n_log);
         release_held n
       end
-    | Snapshot { term; seq; keys = ks; preps; dones; decideds; unackeds } ->
+    | Snapshot { term; seq; store; preps; dones; decideds; unackeds } ->
       Net.busy net dst (Key.msg_ns + Key.op_ns);
       let n = st.(dst) in
       if n.n_syncing then begin
-        List.iter
-          (fun (k, value, ver, w, r, locked) ->
-            let stk = n.n_store.(k) in
-            stk.Key.value <- value;
-            stk.Key.ver <- ver;
-            stk.Key.wts <- w;
-            stk.Key.rts <- r;
-            stk.Key.locked <- locked)
-          ks;
+        Array.blit store 0 n.n_store 0 keys;
         Hashtbl.reset n.n_prep;
         List.iter (fun p -> Hashtbl.replace n.n_prep p.pr_txid p) preps;
         Hashtbl.reset n.n_done;

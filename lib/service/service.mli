@@ -26,8 +26,9 @@
 
 type config = {
   profile : Ordo_workloads.Sessions.profile;
-      (** traffic shape; the store size comes from [profile.keys] and the
-          transfer partner distance is forced to the group count *)
+      (** traffic size; the store holds {!Ordo_workloads.Sessions.keys}
+          keys and the transfer partner distance is forced to the group
+          count *)
   adm : Admission.config;
   epoch_ns : int;  (** group-commit epoch; 0 = per-transaction commit wait *)
   seed : int;

@@ -40,10 +40,8 @@ let grow t payload =
     t.data <- data
   end
 
-let push t ~time payload =
+let push_seq t ~time ~seq payload =
   grow t payload;
-  let seq = t.next_seq in
-  t.next_seq <- seq + 1;
   let times = t.times and seqs = t.seqs and data = t.data in
   (* Sift the hole up: parents later than the new key move down a level;
      the new entry is written once, at its final position. *)
@@ -65,10 +63,13 @@ let push t ~time payload =
   Array.unsafe_set seqs !i seq;
   Array.unsafe_set data !i payload
 
-let pop_exn t =
-  if t.len = 0 then invalid_arg "Heap.pop_exn: empty heap";
+let push t ~time payload =
+  let seq = t.next_seq in
+  t.next_seq <- seq + 1;
+  push_seq t ~time ~seq payload
+
+let drop t =
   let times = t.times and seqs = t.seqs and data = t.data in
-  let top = Array.unsafe_get data 0 in
   let n = t.len - 1 in
   t.len <- n;
   if n > 0 then begin
@@ -105,7 +106,12 @@ let pop_exn t =
     Array.unsafe_set times !i time;
     Array.unsafe_set seqs !i seq;
     Array.unsafe_set data !i payload
-  end;
+  end
+
+let pop_exn t =
+  if t.len = 0 then invalid_arg "Heap.pop_exn: empty heap";
+  let top = Array.unsafe_get t.data 0 in
+  drop t;
   top
 
 let pop t =

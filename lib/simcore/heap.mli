@@ -8,7 +8,15 @@
     the tree depth of a binary heap — both matter because the scheduler
     pushes and pops one entry per simulated event. *)
 
-type 'a t
+type 'a t = private {
+  mutable times : int array;
+  mutable seqs : int array;
+  mutable data : 'a array;
+  mutable len : int;  (** entries [0 .. len-1] are live; index 0 is the minimum *)
+  mutable next_seq : int;  (** the sequence number {!push} takes next *)
+}
+(** Readable so a store built on the heap ({!Equeue}'s far tail) can peek
+    at the minimum with plain loads; only this module writes it. *)
 
 val create : unit -> 'a t
 val is_empty : 'a t -> bool
@@ -16,6 +24,14 @@ val size : 'a t -> int
 
 val push : 'a t -> time:int -> 'a -> unit
 (** Insert with the next sequence number. *)
+
+val push_seq : 'a t -> time:int -> seq:int -> 'a -> unit
+(** Insert under a sequence number the caller owns; [next_seq] is not
+    touched.  Entries still pop in ascending [(time, seq)] order. *)
+
+val drop : 'a t -> unit
+(** Remove the minimum entry; read it first through [times.(0)],
+    [seqs.(0)] and [data.(0)].  The heap must not be empty. *)
 
 val pop : 'a t -> (int * 'a) option
 (** Remove and return the minimum [(time, payload)]. *)

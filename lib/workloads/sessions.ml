@@ -39,37 +39,40 @@ type storm = {
   boost_pct : int;  (* % of all ops the storm key hijacks while active *)
 }
 
+(* The traffic shape every run shares; only the size and the shard
+   count vary per call site. *)
+let mean_think_ns = 400
+let mean_requests = 8  (* mean session length, in requests *)
+let reconnect_pct = 20  (* churn: % of completed sessions that reconnect *)
+let storms = [ { at = 2_000; storm_dur = 4_000; boost_pct = 35 } ]
+
+let tenants =
+  [|
+    { weight = 6; theta = 0.9; read_pct = 80; cross_pct = 10 };
+    { weight = 3; theta = 0.5; read_pct = 40; cross_pct = 30 };
+    { weight = 1; theta = 0.0; read_pct = 10; cross_pct = 50 };
+  |]
+
+let keys = 64
+
+(* Running totals of the tenant weights, for the weighted tenant draw. *)
+let cum_weights =
+  let acc = ref 0 in
+  Array.map
+    (fun tn ->
+      acc := !acc + tn.weight;
+      !acc)
+    tenants
+
+let total_weight = cum_weights.(Array.length cum_weights - 1)
+
 type profile = {
   sessions : int;  (* arrival cap: sessions opened by the arrival process *)
-  mean_think_ns : int;
-  mean_requests : int;  (* mean session length, in requests *)
-  reconnect_pct : int;  (* churn: % of completed sessions that reconnect *)
-  diurnal : bool;  (* ramp arrival intensity 1x -> 3x -> 1x over the window *)
-  storms : storm list;
-  tenants : tenant list;
-  keys : int;
   partitions : int;  (* shard count: [Transfer] partners differ mod this *)
   dur_ns : int;  (* arrival window; sessions may drain past it *)
 }
 
-let default =
-  {
-    sessions = 400;
-    mean_think_ns = 400;
-    mean_requests = 8;
-    reconnect_pct = 20;
-    diurnal = true;
-    storms = [ { at = 2_000; storm_dur = 4_000; boost_pct = 35 } ];
-    tenants =
-      [
-        { weight = 6; theta = 0.9; read_pct = 80; cross_pct = 10 };
-        { weight = 3; theta = 0.5; read_pct = 40; cross_pct = 30 };
-        { weight = 1; theta = 0.0; read_pct = 10; cross_pct = 50 };
-      ];
-    keys = 64;
-    partitions = 2;
-    dur_ns = 20_000;
-  }
+let default = { sessions = 400; partitions = 2; dur_ns = 20_000 }
 
 type session = {
   sid : int;
@@ -87,12 +90,9 @@ type stats = {
 
 type t = {
   profile : profile;
-  tenants : tenant array;
   arr_rng : Rng.t;  (* arrival process only *)
   sess_rng : Rng.t;  (* parent stream the per-session streams split from *)
   zipfs : Zipf.t array;  (* per tenant *)
-  cum_weights : int array;
-  total_weight : int;
   storm_keys : int array;
   mutable arrivals : int;  (* sessions the arrival process has granted *)
   mutable next_sid : int;
@@ -101,43 +101,18 @@ type t = {
 
 let create ~seed profile =
   if profile.sessions < 1 then invalid_arg "Sessions.create: need sessions >= 1";
-  if profile.keys < 1 then invalid_arg "Sessions.create: need keys >= 1";
   if profile.partitions < 1 then invalid_arg "Sessions.create: need partitions >= 1";
-  if profile.tenants = [] then invalid_arg "Sessions.create: need at least one tenant";
   if profile.dur_ns < 1 then invalid_arg "Sessions.create: need dur_ns >= 1";
   let root = Rng.create ~seed:(Int64.of_int ((seed * 2_147_483_629) + 11)) () in
   let arr_rng = Rng.split root in
   let sess_rng = Rng.split root in
   let storm_rng = Rng.split root in
-  let tenants = Array.of_list profile.tenants in
-  let cum = Array.make (Array.length tenants) 0 in
-  let total =
-    Array.fold_left
-      (fun acc t ->
-        if t.weight < 1 then invalid_arg "Sessions.create: tenant weight < 1";
-        acc + t.weight)
-      0 tenants
-  in
-  let _ =
-    Array.fold_left
-      (fun (i, acc) t ->
-        let acc = acc + t.weight in
-        cum.(i) <- acc;
-        (i + 1, acc))
-      (0, 0) tenants
-  in
   {
     profile;
-    tenants;
     arr_rng;
     sess_rng;
-    zipfs =
-      Array.map (fun t -> Zipf.create ~n:profile.keys ~theta:t.theta) tenants;
-    cum_weights = cum;
-    total_weight = total;
-    storm_keys =
-      Array.of_list
-        (List.map (fun _ -> Rng.int storm_rng profile.keys) profile.storms);
+    zipfs = Array.map (fun tn -> Zipf.create ~n:keys ~theta:tn.theta) tenants;
+    storm_keys = Array.of_list (List.map (fun _ -> Rng.int storm_rng keys) storms);
     arrivals = 0;
     next_sid = 0;
     stats = { opened = 0; closed = 0; reconnects = 0; storm_ops = 0 };
@@ -147,13 +122,11 @@ let create ~seed profile =
    Diurnal profile: triangular ramp from 500 at the window edges to 1500
    at its midpoint (a 3x swing, mean 1000 = the nominal rate). *)
 let intensity t ~now =
-  if not t.profile.diurnal then 1000
-  else
-    let d = t.profile.dur_ns in
-    let x = if now < 0 then 0 else if now > d then d else now in
-    let dist = abs ((2 * x) - d) in
-    (* 0 at midpoint, d at edges *)
-    1500 - (dist * 1000 / d)
+  let d = t.profile.dur_ns in
+  let x = if now < 0 then 0 else if now > d then d else now in
+  let dist = abs ((2 * x) - d) in
+  (* 0 at midpoint, d at edges *)
+  1500 - (dist * 1000 / d)
 
 (* Thinned Poisson arrivals: candidates fire at 1.5x the nominal rate and
    are accepted with probability intensity/1500, so the accepted process
@@ -177,27 +150,23 @@ let next_arrival t ~now =
     draw 0
   end
 
-let pick_tenant t rng =
-  let dice = Rng.int rng t.total_weight in
-  let n = Array.length t.cum_weights in
-  let rec go i = if i >= n - 1 || dice < t.cum_weights.(i) then i else go (i + 1) in
+let pick_tenant rng =
+  let dice = Rng.int rng total_weight in
+  let n = Array.length cum_weights in
+  let rec go i = if i >= n - 1 || dice < cum_weights.(i) then i else go (i + 1) in
   go 0
 
 let connect t =
   let srng = Rng.split t.sess_rng in
-  let tenant = pick_tenant t srng in
-  let left =
-    max 1
-      (int_of_float
-         (Rng.exponential srng (float_of_int t.profile.mean_requests)))
-  in
+  let tenant = pick_tenant srng in
+  let left = max 1 (int_of_float (Rng.exponential srng (float_of_int mean_requests))) in
   let sid = t.next_sid in
   t.next_sid <- sid + 1;
   t.stats.opened <- t.stats.opened + 1;
   { sid; tenant; left; srng }
 
-let think_gap t s =
-  1 + int_of_float (Rng.exponential s.srng (float_of_int t.profile.mean_think_ns))
+let think_gap s =
+  1 + int_of_float (Rng.exponential s.srng (float_of_int mean_think_ns))
 
 let storm_key t ~now rng =
   let rec go i = function
@@ -207,7 +176,7 @@ let storm_key t ~now rng =
       then Some t.storm_keys.(i)
       else go (i + 1) rest
   in
-  go 0 t.profile.storms
+  go 0 storms
 
 (* Cross-partition partner for [a]: a key on a different shard, drawn
    from the tenant's own popularity distribution when one shows up in a
@@ -218,7 +187,7 @@ let partner t s a =
   let rec pick tries =
     if tries = 0 then
       let b = a + 1 + (Rng.int s.srng (max 1 (p - 1))) in
-      if b < t.profile.keys then b else (a + 1) mod t.profile.keys
+      if b < keys then b else (a + 1) mod keys
     else
       let b = Zipf.sample zipf s.srng in
       if b mod p <> a mod p then b else pick (tries - 1)
@@ -228,7 +197,7 @@ let partner t s a =
 let op t s ~now =
   if s.left <= 0 then invalid_arg "Sessions.op: session already complete";
   s.left <- s.left - 1;
-  let tn = t.tenants.(s.tenant) in
+  let tn = tenants.(s.tenant) in
   let key =
     match storm_key t ~now s.srng with
     | Some k ->
@@ -247,7 +216,7 @@ let finished s = s.left <= 0
    opens a replacement with {!connect}). *)
 let complete t s =
   t.stats.closed <- t.stats.closed + 1;
-  let again = Rng.int s.srng 100 < t.profile.reconnect_pct in
+  let again = Rng.int s.srng 100 < reconnect_pct in
   if again then t.stats.reconnects <- t.stats.reconnects + 1;
   again
 

@@ -19,28 +19,13 @@ type op =
   | Transfer of int * int
       (** Cross-partition: the two keys differ mod [partitions]. *)
 
-type tenant = {
-  weight : int;  (** share of sessions, relative to the other tenants *)
-  theta : float;  (** Zipf skew of the tenant's key popularity *)
-  read_pct : int;
-  cross_pct : int;  (** cross-shard transfers, as a % of the write ops *)
-}
+val keys : int
+(** Size of the key space every session draws from. *)
 
-type storm = {
-  at : int;
-  storm_dur : int;
-  boost_pct : int;  (** % of all ops the storm key hijacks while active *)
-}
-
+(** The tenant mix, storm schedule, think time, session length and churn
+    rate are fixed; a profile sets only the run's size and shard count. *)
 type profile = {
   sessions : int;  (** arrival cap (reconnects are extra, on top) *)
-  mean_think_ns : int;
-  mean_requests : int;  (** mean session length, in requests *)
-  reconnect_pct : int;  (** churn: % of completed sessions that reconnect *)
-  diurnal : bool;
-  storms : storm list;
-  tenants : tenant list;
-  keys : int;
   partitions : int;  (** shard count; [Transfer] partners differ mod this *)
   dur_ns : int;  (** arrival window; open sessions may drain past it *)
 }
@@ -59,8 +44,8 @@ type stats = {
 type t
 
 val create : seed:int -> profile -> t
-(** Raises [Invalid_argument] on an empty tenant list or non-positive
-    [sessions]/[keys]/[partitions]/[dur_ns]/tenant weights. *)
+(** Raises [Invalid_argument] on non-positive
+    [sessions]/[partitions]/[dur_ns]. *)
 
 val next_arrival : t -> now:int -> int option
 (** Gap (ns from [now]) until the next session opens; [None] once the
@@ -69,7 +54,7 @@ val next_arrival : t -> now:int -> int option
 val connect : t -> session
 (** Open a session: draws its tenant, length and private rng stream. *)
 
-val think_gap : t -> session -> int
+val think_gap : session -> int
 (** Client think time before the session's next request. *)
 
 val op : t -> session -> now:int -> op

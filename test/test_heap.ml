@@ -123,6 +123,18 @@ let matches_model =
             | _ -> false))
         ops)
 
+(* Caller-owned sequence numbers (the far-tail store of {!Ordo_sim.Equeue}
+   inserts under its own counter, in no particular order): whatever the
+   pairs, pops come out in ascending (time, seq) order. *)
+let push_seq_orders_pairs =
+  qtest "push_seq pops in ascending (time, seq) order"
+    QCheck2.Gen.(list_size (int_range 0 200) (pair (int_range 0 50) (int_range 0 1000)))
+    (fun pairs ->
+      let h = Heap.create () in
+      List.iter (fun (time, seq) -> Heap.push_seq h ~time ~seq (time, seq)) pairs;
+      let rec drain acc = if Heap.is_empty h then List.rev acc else drain (Heap.pop_exn h :: acc) in
+      drain [] = List.sort compare pairs)
+
 let suite =
   [
     ("empty heap", `Quick, test_empty);
@@ -133,4 +145,5 @@ let suite =
     interleaved_push_pop;
     next_time_matches_min_time;
     matches_model;
+    push_seq_orders_pairs;
   ]

@@ -241,33 +241,43 @@ let index_of p phases =
   go 0 phases
 
 let test_chaos_primary_kill () =
-  let spec = spec_of "2x2xamd" in
-  let cfg =
-    {
-      base_cfg with
-      Service.profile =
-        { base_cfg.Service.profile with Sessions.sessions = 96; dur_ns = 300_000 };
-    }
-  in
-  let fault =
-    Node_fault.primary_kill ~seed:cfg.Service.seed ~dur:300_000 ~groups:2 ~replicas:2
-  in
-  let r, rep = run_service ~fault spec cfg in
-  (* Exactly-once through the failover: conservation holds, no lock or
-     replica is left behind, and the stock checker stays clean. *)
-  assert_invariants "chaos" r;
-  assert_checker "chaos" rep;
-  check Alcotest.bool "a backup promoted" true (r.Service.promotions >= 1);
-  check Alcotest.bool "the revived node re-joined" true (r.Service.snapshots >= 1);
-  let phases = phases_of r.Service.timeline in
-  let idx p =
-    match index_of p phases with
-    | Some i -> i
-    | None -> Alcotest.failf "timeline missing %s: %s" p (String.concat " -> " phases)
-  in
-  check Alcotest.bool "degrades after the kill" true (idx "KILLED" < idx "DEGRADED");
-  check Alcotest.bool "promotes after degrading" true (idx "DEGRADED" < idx "PROMOTED");
-  check Alcotest.bool "recovers after the restart" true (idx "RESTARTED" < idx "RECOVERED")
+  (* 2 replicas, and 3 — where a restored snapshot meets a third node. *)
+  List.iter
+    (fun (spec_s, preset, name, sessions, dur_ns) ->
+      let spec = spec_of spec_s in
+      let cfg =
+        {
+          base_cfg with
+          Service.profile = { base_cfg.Service.profile with Sessions.sessions; dur_ns };
+        }
+      in
+      let fault =
+        preset ~seed:cfg.Service.seed ~dur:dur_ns ~groups:(Spec.groups spec)
+          ~replicas:spec.Spec.replicas
+      in
+      let r, rep = run_service ~fault spec cfg in
+      let label = spec_s ^ " " ^ name in
+      (* Exactly-once through the failover: conservation holds, no lock or
+         replica is left behind, and the stock checker stays clean. *)
+      assert_invariants label r;
+      assert_checker label rep;
+      check Alcotest.bool (label ^ " a backup promoted") true (r.Service.promotions >= 1);
+      check Alcotest.bool (label ^ " the revived node re-joined") true (r.Service.snapshots >= 1);
+      let phases = phases_of r.Service.timeline in
+      let idx p =
+        match index_of p phases with
+        | Some i -> i
+        | None -> Alcotest.failf "%s: timeline missing %s: %s" label p (String.concat " -> " phases)
+      in
+      check Alcotest.bool (label ^ " degrades after the kill") true (idx "KILLED" < idx "DEGRADED");
+      check Alcotest.bool (label ^ " promotes after degrading") true
+        (idx "DEGRADED" < idx "PROMOTED");
+      check Alcotest.bool (label ^ " recovers after the restart") true
+        (idx "RESTARTED" < idx "RECOVERED"))
+    [
+      ("2x2xamd", Node_fault.primary_kill, "primary_kill", 96, 300_000);
+      ("3x3xamd", Node_fault.rolling, "rolling", 150, 400_000);
+    ]
 
 let test_chaos_unreplicated_restart () =
   (* replicas = 1: no backup can take over, so the killed primary itself
