@@ -832,9 +832,7 @@ let ext_hazard ~full =
     let db = C.create ~threads ~rows:48 () in
     let module X = Ordo_db.Cc_intf.Execute (R) (C) in
     let wins = Array.make windows 0 in
-    (* The summary needs the *first* hazard and detection, so the ring
-       must hold the whole run - size it to the duration, not the default. *)
-    Trace.start ~capacity:262_144 ~threads:(Topology.total_threads m.Machine.topo) ();
+    Trace.start ~threads:(Topology.total_threads m.Machine.topo) ();
     ignore
       (Sim.run ?scenario m ~threads (fun i ->
            let rng = Rng.create ~seed:(Int64.of_int ((i * 31) + 7)) () in
@@ -947,7 +945,7 @@ let cluster ~full =
           match src with Kv.Ordo -> c.Compose.boundary | Kv.Logical -> 0
         in
         let cfg = { Kv.default with Kv.shards; dur_ns = dur; source = src } in
-        Trace.start ~capacity:65536 ();
+        Trace.start ();
         let r = Kv.run ~boundary spec cfg in
         let t = Trace.stop () in
         let _, verdict = Checker.verdict ~terse:true t (Checker.check ~boundary t) in
@@ -996,7 +994,7 @@ let cluster ~full =
   let demo =
     List.map
       (fun node ->
-        Trace.start ~capacity:65536 ();
+        Trace.start ();
         let stats =
           Net.run_node net node (fun machine ->
               Ordo_workloads.Workloads.run "occ" ~report:false machine ts ~threads:8
@@ -1030,7 +1028,7 @@ let cluster ~full =
   let c = Compose.measure spec in
   let cfg = { Kv.default with Kv.shards = 2; dur_ns = 100_000; source = Kv.Ordo } in
   let checked boundary =
-    Trace.start ~capacity:65536 ();
+    Trace.start ();
     let _ = Kv.run ~boundary spec cfg in
     let t = Trace.stop () in
     (t, Checker.check ~boundary t)
@@ -1064,7 +1062,7 @@ let live_smoke ~full =
   let module Trace = Ordo_trace.Trace in
   let module Checker = Ordo_trace.Checker in
   let tasks = 64 in
-  Trace.start ~capacity:65536 ();
+  Trace.start ();
   let sum, certified, pool =
     P.run ~workers (fun pool ->
         let ps = List.init tasks (fun i -> P.spawn pool (fun () -> i)) in
@@ -1267,7 +1265,7 @@ let service ~full =
         epoch_ns = epoch;
       }
     in
-    Trace.start ~capacity:262_144 ();
+    Trace.start ();
     let r =
       match fault with
       | None -> Svc.run ~boundary:c.Compose.boundary spec cfg

@@ -24,6 +24,8 @@ let run_source ~full machine label (make_ts : unit -> (module Ordo_core.Timestam
     H.par_map
       (fun threads ->
         let (module T) = make_ts () in
+        (* A small ring on purpose: this table reads only the exact
+           counters, and the wrap shows up as the ring-dropped line. *)
         Trace.start ~capacity:4096 ();
         let thr =
           H.throughput ~warm:20_000 ~dur:120_000 machine ~threads (fun _ _ ->

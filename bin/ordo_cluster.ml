@@ -34,7 +34,7 @@ let report_measurement spec (c : Compose.t) =
 let checked_run ~boundary ~check spec cfg =
   if not check then (Kv.run ~boundary spec cfg, None)
   else begin
-    Trace.start ~capacity:65536 ();
+    Trace.start ();
     let r = Kv.run ~boundary spec cfg in
     let t = Trace.stop () in
     (r, Some (Checker.verdict t (Checker.check ~boundary t)))
@@ -71,7 +71,7 @@ let run_fixture check =
   Report.kv "true node-1 skew (ns)" "5000";
   let cfg = { Kv.default with Kv.shards = 2; Kv.dur_ns = 100_000; Kv.source = Kv.Ordo } in
   ignore check;
-  Trace.start ~capacity:65536 ();
+  Trace.start ();
   let r = Kv.run ~boundary:c.Compose.rtt2_boundary spec cfg in
   let t = Trace.stop () in
   let rep = Checker.check ~boundary:c.Compose.rtt2_boundary t in
@@ -87,7 +87,7 @@ let run_fixture check =
       "fixture ok: checker flagged %d violation(s) under the rtt/2 boundary\n"
       (List.length rep.Checker.violations);
     (* The same run under the sound composed boundary must be clean. *)
-    Trace.start ~capacity:65536 ();
+    Trace.start ();
     let _ = Kv.run ~boundary:c.Compose.boundary spec cfg in
     let t = Trace.stop () in
     if fst (Checker.verdict t (Checker.check ~boundary:c.Compose.boundary t)) then begin

@@ -59,14 +59,14 @@ let run machine_name workload scenario_name seed policy_name unguarded threads d
   (* Own simulator instance — the boundary measurement, the precomputed
      remeasurement and the faulted run share one continuous timeline. *)
   Sim.with_fresh_instance @@ fun () ->
-  match Machine.by_name machine_name with
-  | None ->
+  match (Machine.by_name machine_name, capacity) with
+  | None, _ ->
     Printf.eprintf "unknown machine %S (available: xeon phi amd arm)\n" machine_name;
     exit 2
-  | Some _ when capacity < 1 ->
-    Printf.eprintf "--capacity must be >= 1 (got %d)\n" capacity;
+  | Some _, Some c when c < 1 ->
+    Printf.eprintf "--capacity must be >= 1 (got %d)\n" c;
     exit 2
-  | Some machine ->
+  | Some machine, _ ->
     let mode = if unguarded then "unguarded" else "guarded:" ^ policy_name in
     Report.section
       (Printf.sprintf "ordo-hazard: %s/%s on %s, scenario %s (%s)" workload
@@ -106,7 +106,7 @@ let run machine_name workload scenario_name seed policy_name unguarded threads d
         let g, ts = guarded_ts boundary policy in
         (Some g, ts)
     in
-    Trace.start ~capacity ~threads:total ();
+    Trace.start ?capacity ~threads:total ();
     if analyze then Race.start ~boundary ~threads:total ();
     let stats =
       Workloads.run workload ~scenario machine ts ~threads ~dur
@@ -192,10 +192,11 @@ let dur_arg =
 
 let capacity_arg =
   let doc =
-    "Per-thread event-ring capacity.  Oldest events drop (counters stay exact), and a \
-     trace that dropped any fails the check as incomplete."
+    "Most events retained per thread (default 262144; rings grow with what is emitted). \
+     Oldest events drop (counters stay exact), and a trace that dropped any fails the \
+     check as incomplete."
   in
-  Arg.(value & opt int 16_384 & info [ "capacity" ] ~docv:"N" ~doc)
+  Arg.(value & opt (some int) None & info [ "capacity" ] ~docv:"N" ~doc)
 
 let out_arg =
   let doc = "Write a Chrome trace_event JSON file (load in chrome://tracing or Perfetto)." in

@@ -35,7 +35,7 @@ type cell = {
 }
 
 let run_cell ~boundary ~check ~label spec cfg fault =
-  if check then Trace.start ~capacity:262_144 ();
+  if check then Trace.start ();
   let r = Service.run ~boundary ~fault spec cfg in
   let verdict =
     if check then

@@ -53,14 +53,14 @@ let run machine_name workload source threads dur capacity out skew no_check anal
   (* Own simulator instance: boundary measurement and traced workload run
      on one continuous per-instance timeline. *)
   Sim.with_fresh_instance @@ fun () ->
-  match Machine.by_name machine_name with
-  | None ->
+  match (Machine.by_name machine_name, capacity) with
+  | None, _ ->
     Printf.eprintf "unknown machine %S (available: xeon phi amd arm)\n" machine_name;
     exit 2
-  | Some _ when capacity < 1 ->
-    Printf.eprintf "--capacity must be >= 1 (got %d)\n" capacity;
+  | Some _, Some c when c < 1 ->
+    Printf.eprintf "--capacity must be >= 1 (got %d)\n" c;
     exit 2
-  | Some base ->
+  | Some base, _ ->
     Report.section
       (Printf.sprintf "ordo-trace: %s/%s on %s" workload source machine_name);
     let total = Topology.total_threads base.Machine.topo in
@@ -79,7 +79,7 @@ let run machine_name workload source threads dur capacity out skew no_check anal
         Printf.eprintf "unknown source %S (available: ordo logical)\n" s;
         exit 2
     in
-    Trace.start ~capacity ~threads:total ();
+    Trace.start ?capacity ~threads:total ();
     if analyze then Race.start ~boundary:check_boundary ~threads:total ();
     run_workload workload machine ts ~threads ~dur;
     let verdict = if analyze then Some (Race.stop ()) else None in
@@ -134,10 +134,11 @@ let dur_arg =
 
 let capacity_arg =
   let doc =
-    "Per-thread event-ring capacity.  Oldest events drop (counters stay exact), and a \
-     trace that dropped any fails the check as incomplete."
+    "Most events retained per thread (default 262144; rings grow with what is emitted). \
+     Oldest events drop (counters stay exact), and a trace that dropped any fails the \
+     check as incomplete."
   in
-  Arg.(value & opt int 16_384 & info [ "capacity" ] ~docv:"N" ~doc)
+  Arg.(value & opt (some int) None & info [ "capacity" ] ~docv:"N" ~doc)
 
 let out_arg =
   let doc = "Write a Chrome trace_event JSON file (load in chrome://tracing or Perfetto)." in

@@ -71,6 +71,6 @@ let () =
   List.iter
     (fun (l : Ordo_trace.Trace.line_stat) ->
       Printf.printf "hot line %s: %d transfers, %d invalidations\n"
-        (Trace.line_label t l.line) l.transfers l.invalidations)
+        (Trace.line_label l.line) l.transfers l.invalidations)
     (Ordo_trace.Metrics.hottest ~n:3 t);
   print_endline "quickstart ok"

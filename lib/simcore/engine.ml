@@ -197,8 +197,6 @@ let cell v =
       };
   }
 
-let line_id c = c.line.lid
-
 (* The earliest queued event: a thread must not run past it directly.
    [Equeue.next_time] is allocation-free — this check runs once per
    operation. *)

@@ -100,10 +100,6 @@ val pause : unit -> unit
 val work : int -> unit
 val fence : unit -> unit
 
-val line_id : 'a cell -> int
-(** Stable id of the cell's cache line, as it appears in trace events
-    (e.g. to label hot lines with [Ordo_trace.Trace.name_line]). *)
-
 val span_begin : string -> unit
 val span_end : string -> unit
 

@@ -94,7 +94,7 @@ let print ?(label = "trace") (t : Trace.t) =
       (List.map
          (fun (l : Trace.line_stat) ->
            [
-             Trace.line_label t l.line;
+             Trace.line_label l.line;
              string_of_int l.transfers;
              string_of_int l.invalidations;
              string_of_int l.transfer_ns;

@@ -13,10 +13,10 @@
    - Purely observational: recording never charges virtual time or draws
      from the simulation RNG, so a traced run has bit-identical
      [end_vtime]/event counts to an untraced one.
-   - Bounded memory: raw events go to fixed-capacity per-thread ring
-     buffers (oldest dropped first), while per-core and per-line counters
-     are maintained online at emission and therefore stay exact even when
-     the rings wrap. *)
+   - Bounded memory: raw events go to per-thread rings that grow to a cap
+     (oldest dropped first once full), so memory tracks what is emitted,
+     while per-core and per-line counters are maintained online at
+     emission and therefore stay exact even when the rings wrap. *)
 
 module Stats = Ordo_util.Stats
 
@@ -120,14 +120,15 @@ type t = {
   dropped : int;
   cores : core_stat array;  (* cores that emitted at least once, ascending id *)
   lines : line_stat array;  (* hottest (busiest) first *)
-  names : (int * string) list;  (* user labels for line ids *)
 }
 
 (* ---- the sink ---- *)
 
 let stride = 6
 
-type buf = { data : int array; mutable emitted : int }
+(* [data] doubles from [min capacity 256] events up to [capacity]; the
+   ring only wraps once it is full size, so growth is one blit. *)
+type buf = { mutable data : int array; mutable emitted : int }
 
 type sink = {
   capacity : int;
@@ -137,7 +138,6 @@ type sink = {
   tag_ids : (string, int) Hashtbl.t;
   mutable tag_names : string array;
   mutable n_tags : int;
-  line_names : (int, string) Hashtbl.t;
   seq : int Atomic.t;
   lock : Mutex.t;  (* guards growth and interning (real-substrate emits) *)
   mutable guard_ids : int array;  (* tag ids of guard_tag_names, pre-interned *)
@@ -153,17 +153,16 @@ type state = { mutable sink : sink option }
 
 let state_key : state Domain.DLS.key = Domain.DLS.new_key (fun () -> { sink = None })
 let current () = (Domain.DLS.get state_key).sink
-let is_tracing () = Option.is_some (current ())
-let enabled = is_tracing
+let enabled () = Option.is_some (current ())
 
 type handle = sink option
 
 let active_handle () = current ()
 let adopt h = (Domain.DLS.get state_key).sink <- h
 
-let start ?(capacity = 16_384) ?(threads = 64) () =
+let start ?(capacity = 262_144) ?(threads = 64) () =
   if capacity < 1 then invalid_arg "Trace.start: capacity must be >= 1";
-  if is_tracing () then invalid_arg "Trace.start: already tracing";
+  if enabled () then invalid_arg "Trace.start: already tracing";
   let s =
     {
       capacity;
@@ -173,7 +172,6 @@ let start ?(capacity = 16_384) ?(threads = 64) () =
       tag_ids = Hashtbl.create 32;
       tag_names = Array.make 32 "";
       n_tags = 0;
-      line_names = Hashtbl.create 8;
       seq = Atomic.make 0;
       lock = Mutex.create ();
       guard_ids = [||];
@@ -204,7 +202,7 @@ let buf_of s tid =
   match s.bufs.(tid) with
   | Some b -> b
   | None ->
-    let b = { data = Array.make (s.capacity * stride) 0; emitted = 0 } in
+    let b = { data = Array.make (min s.capacity 256 * stride) 0; emitted = 0 } in
     s.bufs.(tid) <- Some b;
     b
 
@@ -265,9 +263,6 @@ let intern tag =
       Mutex.unlock s.lock;
       id)
 
-let name_line line name =
-  match current () with None -> () | Some s -> Hashtbl.replace s.line_names line name
-
 let emit ~tid ~time kind ~a ~b ~c =
   match current () with
   | None -> ()
@@ -308,13 +303,19 @@ let emit ~tid ~time kind ~a ~b ~c =
     | Hazard -> cs.hazards <- cs.hazards + 1
     | Guard -> cs.guards <- cs.guards + 1);
     let buf = buf_of s tid in
-    let i = buf.emitted mod s.capacity * stride in
-    buf.data.(i) <- Atomic.fetch_and_add s.seq 1;
-    buf.data.(i + 1) <- time;
-    buf.data.(i + 2) <- kind_code kind;
-    buf.data.(i + 3) <- a;
-    buf.data.(i + 4) <- b;
-    buf.data.(i + 5) <- c;
+    let n = Array.length buf.data in
+    if buf.emitted * stride = n && n < s.capacity * stride then begin
+      let bigger = Array.make (min (2 * n) (s.capacity * stride)) 0 in
+      Array.blit buf.data 0 bigger 0 n;
+      buf.data <- bigger
+    end;
+    let data = buf.data and i = buf.emitted mod s.capacity * stride in
+    data.(i) <- Atomic.fetch_and_add s.seq 1;
+    data.(i + 1) <- time;
+    data.(i + 2) <- kind_code kind;
+    data.(i + 3) <- a;
+    data.(i + 4) <- b;
+    data.(i + 5) <- c;
     buf.emitted <- buf.emitted + 1
 
 let stop () =
@@ -365,7 +366,6 @@ let stop () =
       dropped = !dropped;
       cores;
       lines;
-      names = Hashtbl.fold (fun k v acc -> (k, v) :: acc) s.line_names [] |> List.sort compare;
     }
 
 (* ---- queries on a collected trace ---- *)
@@ -378,7 +378,4 @@ let find_tag t name =
   in
   scan 0
 
-let line_label t line =
-  match List.assoc_opt line t.names with
-  | Some n -> n
-  | None -> Printf.sprintf "line#%d" line
+let line_label line = Printf.sprintf "line#%d" line

@@ -10,8 +10,8 @@
     randomness, so a traced run is bit-identical (same [end_vtime], same
     event count) to an untraced one.
 
-    Raw events land in fixed-capacity per-thread ring buffers (oldest
-    dropped first, {!t.dropped} counts the loss); per-core and per-line
+    Raw events land in per-thread rings that grow to a cap (oldest dropped
+    first once full, {!t.dropped} counts the loss); per-core and per-line
     counters are updated online at emission and stay exact even after the
     rings wrap.
 
@@ -110,16 +110,12 @@ type t = {
   dropped : int;  (** events lost to ring wrap-around (counters are exact) *)
   cores : core_stat array;  (** cores that emitted at least once *)
   lines : line_stat array;  (** hottest (busiest ns) first *)
-  names : (int * string) list;  (** user labels attached with [name_line] *)
 }
 
 val enabled : unit -> bool
 (** Producers must check [enabled ()] (one domain-local read) before
     computing anything for an emission.  The simulator engine samples it
     once per run and caches the answer on its hot paths. *)
-
-val is_tracing : unit -> bool
-(** Alias of {!enabled}. *)
 
 type handle
 (** An opaque reference to this domain's installed sink (or its absence),
@@ -131,9 +127,11 @@ val adopt : handle -> unit
     (captured in the parent with {!active_handle}). *)
 
 val start : ?capacity:int -> ?threads:int -> unit -> unit
-(** Install the sink.  [capacity] is the per-thread ring size in events
-    (default 16384); [threads] pre-sizes the per-thread tables (they grow
-    on demand).  Raises [Invalid_argument] if already tracing. *)
+(** Install the sink.  [capacity] is the most events retained per thread
+    (default 262144).  Each ring starts at 256 events and doubles up to
+    [capacity] before it wraps, so memory tracks what is emitted.
+    [threads] pre-sizes the per-thread tables (they grow on demand).
+    Raises [Invalid_argument] if already tracing or if [capacity < 1]. *)
 
 val stop : unit -> t
 (** Uninstall the sink and return the collected trace.
@@ -146,9 +144,7 @@ val intern : string -> int
 (** Tag id for a span/probe name (interned per recording session).
     Returns [-1] when not tracing. *)
 
-val name_line : int -> string -> unit
-(** Attach a human label to a cache-line id for reports. *)
-
 val tag_name : t -> int -> string
 val find_tag : t -> string -> int option
-val line_label : t -> int -> string
+val line_label : int -> string
+(** ["line#N"], the report label of a cache-line id. *)

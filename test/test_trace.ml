@@ -87,14 +87,16 @@ let test_ring_wrap_counters_exact () =
   check Alcotest.int "invalidation counters exact under wrap"
     tb.Trace.invalidations ts.Trace.invalidations
 
-let test_ring_wrap_drop_accounting () =
+let test_ring_wrap_drop_accounting cap () =
   (* Same deterministic run at two capacities: the big ring keeps the
      whole stream, so the small ring's [dropped] must equal exactly the
      events it is missing, its per-core online counters must match the
      lossless ones field for field, and what it did retain must be the
      per-thread *suffixes* of the full stream (newest kept, oldest
-     evicted). *)
-  Trace.start ~capacity:32 ();
+     evicted).  Rings start at 256 events and double up to the cap, so
+     caps of 257 and 700 wrap right after the first growth and between
+     two doublings. *)
+  Trace.start ~capacity:cap ();
   ignore (counter_race Machine.amd : Engine.stats);
   let small = Trace.stop () in
   Trace.start ~capacity:1_048_576 ();
@@ -116,7 +118,8 @@ let test_ring_wrap_drop_accounting () =
       (fun acc (e : Trace.event) -> if List.mem e.Trace.tid acc then acc else e.Trace.tid :: acc)
       [] small.Trace.events
   in
-  check Alcotest.bool "some threads wrapped" true (tids <> []);
+  check Alcotest.bool "some threads wrapped" true
+    (List.exists (fun tid -> Array.length (by_tid big tid) > cap) tids);
   (* The two runs share one process, so absolute virtual times carry a
      constant offset and cell ids a constant renaming; everything else —
      the globally-unique seq, the kind and payload — must match the full
@@ -126,7 +129,7 @@ let test_ring_wrap_drop_accounting () =
     (fun tid ->
       let s = by_tid small tid and b = by_tid big tid in
       let n = Array.length s and m = Array.length b in
-      if n > m then Alcotest.failf "thread %d kept more events than emitted" tid;
+      if n <> min m cap then Alcotest.failf "thread %d kept %d of %d events" tid n m;
       if n = 0 then Alcotest.failf "thread %d retained nothing" tid;
       let shift = b.(m - n).Trace.time - s.(0).Trace.time in
       Array.iteri
@@ -143,6 +146,22 @@ let test_ring_wrap_drop_accounting () =
               tid)
         s)
     tids
+
+(* ---- memory tracks emission, not the cap ---- *)
+
+let test_memory_tracks_emission () =
+  let words () =
+    let minor, promoted, major = Gc.counters () in
+    minor +. major -. promoted
+  in
+  let before = words () in
+  Trace.start ();
+  for time = 1 to 10 do
+    Trace.emit ~tid:0 ~time Trace.Pause ~a:0 ~b:0 ~c:0
+  done;
+  let used = words () -. before in
+  check Alcotest.int "all ten retained" 10 (Array.length (Trace.stop ()).Trace.events);
+  if used >= 8192. then Alcotest.failf "10 emits allocated %.0f words" used
 
 (* ---- hottest-line report ---- *)
 
@@ -304,7 +323,10 @@ let suite =
     ("engine counters", `Quick, test_engine_counters);
     ("clock reads traced", `Quick, test_clock_reads_traced);
     ("ring wrap keeps counters exact", `Quick, test_ring_wrap_counters_exact);
-    ("ring wrap drop accounting", `Quick, test_ring_wrap_drop_accounting);
+    ("ring wrap drop accounting", `Quick, test_ring_wrap_drop_accounting 32);
+    ("ring wrap drop accounting (cap 257)", `Quick, test_ring_wrap_drop_accounting 257);
+    ("ring wrap drop accounting (cap 700)", `Quick, test_ring_wrap_drop_accounting 700);
+    ("memory tracks emission", `Quick, test_memory_tracks_emission);
     ("hottest lines sorted", `Quick, test_hottest_lines);
     ("chrome export balanced", `Quick, test_chrome_export);
     ("checker passes clean OCC", `Quick, test_checker_occ_clean);
