@@ -826,7 +826,7 @@ let ext_hazard ~full =
     in
     (module Ordo_core.Timestamp.Ordo_source (G))
   in
-  let run ?scenario ~guarded mk_ts =
+  let run ?scenario mk_ts =
     let module TS = (val mk_ts () : Ordo_core.Timestamp.S) in
     let module C = Ordo_db.Occ.Make (R) (TS) in
     let db = C.create ~threads ~rows:48 () in
@@ -847,22 +847,20 @@ let ext_hazard ~full =
         : Ordo_sim.Engine.stats);
     let t = Trace.stop () in
     let summary = Timeline.summarize t in
-    let report =
-      if guarded then Checker.check_guard ~boundary t else Checker.check ~boundary t
-    in
+    let report = Checker.check ~boundary t in
     (* Engine virtual time accumulates across the runs of one process;
        anchor reported times to this run's first event. *)
     let t0 =
       if Array.length t.Trace.events > 0 then t.Trace.events.(0).Trace.time else 0
     in
-    (wins, summary, fst (Checker.verdict t report), t0, t.Trace.dropped)
+    (wins, summary, fst (Checker.verdict report), t0, t.Trace.dropped)
   in
   let configs =
     [
-      ("no fault, guarded", None, true, guarded_ts Guard.Inflate);
-      ("dvfs, guard:inflate", Some (scenario ()), true, guarded_ts Guard.Inflate);
-      ("dvfs, guard:fallback", Some (scenario ()), true, guarded_ts Guard.Fallback);
-      ("dvfs, unguarded", Some (scenario ()), false, fun () -> H.ordo_ts ~boundary m);
+      ("no fault, guarded", None, guarded_ts Guard.Inflate);
+      ("dvfs, guard:inflate", Some (scenario ()), guarded_ts Guard.Inflate);
+      ("dvfs, guard:fallback", Some (scenario ()), guarded_ts Guard.Fallback);
+      ("dvfs, unguarded", Some (scenario ()), fun () -> H.ordo_ts ~boundary m);
     ]
   in
   (* Each configuration is a self-contained task: it installs its own
@@ -870,8 +868,8 @@ let ext_hazard ~full =
      instance, and returns everything the report needs. *)
   let results =
     H.par_map
-      (fun (label, scenario, guarded, mk_ts) ->
-        let wins, summary, ok, t0, dropped = run ?scenario ~guarded mk_ts in
+      (fun (label, scenario, mk_ts) ->
+        let wins, summary, ok, t0, dropped = run ?scenario mk_ts in
         (label, wins, summary, ok, t0, dropped))
       configs
   in
@@ -948,7 +946,7 @@ let cluster ~full =
         Trace.start ();
         let r = Kv.run ~boundary spec cfg in
         let t = Trace.stop () in
-        let _, verdict = Checker.verdict ~terse:true t (Checker.check ~boundary t) in
+        let _, verdict = Checker.verdict ~terse:true (Checker.check ~boundary t) in
         (r, verdict, c.Compose.boundary))
       cells
   in
@@ -1002,7 +1000,7 @@ let cluster ~full =
         in
         let t = Trace.stop () in
         let rep = Checker.check ~boundary:c.Compose.boundary t in
-        (node, stats, rep, snd (Checker.verdict ~terse:true t rep)))
+        (node, stats, rep, snd (Checker.verdict ~terse:true rep)))
       [ 0; 1; 2 ]
   in
   Report.table
@@ -1030,17 +1028,16 @@ let cluster ~full =
   let checked boundary =
     Trace.start ();
     let _ = Kv.run ~boundary spec cfg in
-    let t = Trace.stop () in
-    (t, Checker.check ~boundary t)
+    Checker.check ~boundary (Trace.stop ())
   in
-  let _, flagged = checked c.Compose.rtt2_boundary in
-  let t, clean = checked c.Compose.boundary in
+  let flagged = checked c.Compose.rtt2_boundary in
+  let clean = checked c.Compose.boundary in
   Report.kv "asymmetry fixture, rtt/2 boundary"
     (Printf.sprintf "%d ns -> %d violation(s) flagged" c.Compose.rtt2_boundary
        (List.length flagged.Checker.violations));
   Report.kv "asymmetry fixture, composed boundary"
     (Printf.sprintf "%d ns -> %s" c.Compose.boundary
-       (match Checker.verdict t clean with
+       (match Checker.verdict clean with
        | true, _ -> "0 violations"
        | false, v -> "UNEXPECTED " ^ v))
 
@@ -1085,7 +1082,7 @@ let live_smoke ~full =
     (* tasks + the a/b chain + the root task *)
     (if executed = tasks + 3 then "ok" else Printf.sprintf "MISSING (%d)" executed);
   Report.kv "scheduler trace vs stock checker"
-    (if fst (Checker.verdict t rep) && rep.Checker.committed >= tasks then "ok" else "VIOLATIONS")
+    (if fst (Checker.verdict rep) && rep.Checker.committed >= tasks then "ok" else "VIOLATIONS")
 
 let live_rates ~full =
   let workers = max 2 !H.jobs in
@@ -1273,7 +1270,7 @@ let service ~full =
     in
     let t = Trace.stop () in
     let _, verdict =
-      Checker.verdict ~terse:true t (Checker.check ~boundary:c.Compose.boundary t)
+      Checker.verdict ~terse:true (Checker.check ~boundary:c.Compose.boundary t)
     in
     (r, verdict)
   in

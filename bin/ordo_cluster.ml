@@ -37,7 +37,7 @@ let checked_run ~boundary ~check spec cfg =
     Trace.start ();
     let r = Kv.run ~boundary spec cfg in
     let t = Trace.stop () in
-    (r, Some (Checker.verdict t (Checker.check ~boundary t)))
+    (r, Some (Checker.verdict (Checker.check ~boundary t)))
   end
 
 (* Print one run; false on an invariant breach or a failed or incomplete
@@ -77,8 +77,8 @@ let run_fixture check =
   let rep = Checker.check ~boundary:c.Compose.rtt2_boundary t in
   ignore
     (report_kv_result "ordo under the UNSOUND rtt/2 boundary" r
-       (Some (Checker.verdict t rep)));
-  if Checker.ok rep then begin
+       (Some (Checker.verdict rep)));
+  if rep.Checker.violations = [] then begin
     print_endline "FIXTURE FAILED: the checker did not flag the under-sized boundary";
     2
   end
@@ -90,7 +90,7 @@ let run_fixture check =
     Trace.start ();
     let _ = Kv.run ~boundary:c.Compose.boundary spec cfg in
     let t = Trace.stop () in
-    if fst (Checker.verdict t (Checker.check ~boundary:c.Compose.boundary t)) then begin
+    if fst (Checker.verdict (Checker.check ~boundary:c.Compose.boundary t)) then begin
       print_endline "composed boundary on the same topology: 0 violations";
       0
     end

@@ -144,15 +144,9 @@ let run machine_name workload scenario_name seed policy_name unguarded threads d
     in
     if no_check then if race_bad then 1 else 0
     else begin
-      let report =
-        if unguarded then Checker.check ~boundary t
-        else Checker.check_guard ~boundary t
-      in
-      (* A trace whose rings dropped events certifies nothing. *)
-      let ok, verdict = Checker.verdict t report in
-      if t.Trace.dropped > 0 then print_endline ("checker: " ^ verdict)
-      else List.iter print_endline (Checker.describe report);
-      if ok && not race_bad then 0 else 1
+      let report = Checker.check ~boundary t in
+      List.iter print_endline (Checker.describe report);
+      if Checker.ok report && not race_bad then 0 else 1
     end
 
 let machine_arg =

@@ -40,7 +40,7 @@ let run_cell ~boundary ~check ~label spec cfg fault =
   let verdict =
     if check then
       let t = Trace.stop () in
-      Some (Checker.verdict t (Checker.check ~boundary t))
+      Some (Checker.verdict (Checker.check ~boundary t))
     else None
   in
   { c_label = label; c_result = r; c_fault = fault; c_verdict = verdict }

@@ -101,11 +101,8 @@ let run machine_name workload source threads dur capacity out skew no_check anal
     if no_check then if race_bad then 1 else 0
     else begin
       let report = Checker.check ~boundary:check_boundary t in
-      (* A trace whose rings dropped events certifies nothing. *)
-      let ok, verdict = Checker.verdict t report in
-      if t.Trace.dropped > 0 then print_endline ("checker: " ^ verdict)
-      else List.iter print_endline (Checker.describe report);
-      if ok && not race_bad then 0 else 1
+      List.iter print_endline (Checker.describe report);
+      if Checker.ok report && not race_bad then 0 else 1
     end
 
 let machine_arg =

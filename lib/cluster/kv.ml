@@ -137,7 +137,6 @@ type result = {
   commit_waits : int;  (* cross-shard commits that waited out uncertainty *)
   wait_ns : int;  (* total ns spent in commit waits *)
   end_ns : int;  (* cluster time when the last transaction resolved *)
-  boundary : int;
   sum_values : int;  (* final sum over all keys (conservation check) *)
   expected_sum : int;  (* keys * 100 plus committed increments *)
   locks_left : int;  (* keys still locked at drain (must be 0) *)
@@ -208,6 +207,26 @@ let run ~boundary (spec : Net.Spec.t) (cfg : config) =
     | None -> Net.send net ~src:shard ~dst:client (Reply [ (tx, ok) ])
   in
 
+  (* Serve a single-key op once its stamp source has answered: [clock]
+     for a read (the node's clock, or the sequencer's stamp), [ts] for an
+     increment. *)
+  let serve_read tx node k ~clock ~lease_ns reply =
+    let st = tbl.(k) in
+    let rts = st.rts in
+    let read_ts = Key.read st ~clock ~lease_ns in
+    if rts >= read_ts then incr renewals;
+    emit_tx node ~start_ts:read_ts ~reads:[ (k, st.ver) ] ~installs:[] ~commit_ts:read_ts;
+    finish tx true node reply
+  in
+  let serve_incr tx node k ~ts reply =
+    let st = tbl.(k) in
+    let old = st.ver in
+    Key.install st ~delta:1 ~ver:(old + 1) ~ts;
+    incr incrs;
+    emit_tx node ~start_ts:ts ~reads:[ (k, old) ] ~installs:[ (k, old + 1) ] ~commit_ts:ts;
+    finish tx true node reply
+  in
+
   (* -- shard-side transaction steps -- *)
   let rec retry tx shard reply =
     tx.tries <- tx.tries + 1;
@@ -228,13 +247,7 @@ let run ~boundary (spec : Net.Spec.t) (cfg : config) =
       if st.locked then retry tx shard reply
       else begin
         match cfg.source with
-        | Ordo ->
-          let rts = st.rts in
-          let read_ts = Key.read st ~clock:(clock shard) ~lease_ns:cfg.lease_ns in
-          if rts >= read_ts then incr renewals;
-          emit_tx shard ~start_ts:read_ts ~reads:[ (k, st.ver) ] ~installs:[]
-            ~commit_ts:read_ts;
-          finish tx true shard reply
+        | Ordo -> serve_read tx shard k ~clock:(clock shard) ~lease_ns:cfg.lease_ns reply
         | Logical -> Net.send net ~src:shard ~dst:seqr (SeqReq { shard; tx })
       end
     | Incr k ->
@@ -242,14 +255,7 @@ let run ~boundary (spec : Net.Spec.t) (cfg : config) =
       if st.locked then retry tx shard reply
       else begin
         match cfg.source with
-        | Ordo ->
-          let ts = Key.write_ts st ~floor:0 ~clock:(clock shard) in
-          let old = st.ver in
-          Key.install st ~delta:1 ~ver:(old + 1) ~ts;
-          incr incrs;
-          emit_tx shard ~start_ts:ts ~reads:[ (k, old) ] ~installs:[ (k, old + 1) ]
-            ~commit_ts:ts;
-          finish tx true shard reply
+        | Ordo -> serve_incr tx shard k ~ts:(Key.write_ts st ~floor:0 ~clock:(clock shard)) reply
         | Logical ->
           (* Hold the lock while the stamp round-trips so no later stamp
              can install under this one. *)
@@ -354,23 +360,10 @@ let run ~boundary (spec : Net.Spec.t) (cfg : config) =
         Net.busy net dst Key.msg_ns;
         match tx.op with
         | Read k ->
-          let st = tbl.(k) in
           (* A commit may have installed a higher stamp while this one
              round-tripped; serve the read at the version's timestamp. *)
-          let rts = st.rts in
-          let read_ts = Key.read st ~clock:ts ~lease_ns:0 in
-          if rts >= read_ts then incr renewals;
-          emit_tx dst ~start_ts:read_ts ~reads:[ (k, st.ver) ] ~installs:[]
-            ~commit_ts:read_ts;
-          finish tx true dst None
-        | Incr k ->
-          let st = tbl.(k) in
-          let old = st.ver in
-          Key.install st ~delta:1 ~ver:(old + 1) ~ts;
-          incr incrs;
-          emit_tx dst ~start_ts:ts ~reads:[ (k, old) ] ~installs:[ (k, old + 1) ]
-            ~commit_ts:ts;
-          finish tx true dst None
+          serve_read tx dst k ~clock:ts ~lease_ns:0 None
+        | Incr k -> serve_incr tx dst k ~ts None
         | Transfer _ ->
           let ver_b = Hashtbl.find pending_ver tx.id in
           Hashtbl.remove pending_ver tx.id;
@@ -456,7 +449,6 @@ let run ~boundary (spec : Net.Spec.t) (cfg : config) =
     commit_waits = !commit_waits;
     wait_ns = !wait_ns;
     end_ns = tally.end_ns;
-    boundary;
     sum_values;
     expected_sum = (cfg.keys * 100) + !incrs;
     locks_left;

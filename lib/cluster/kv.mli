@@ -93,7 +93,6 @@ type result = {
   commit_waits : int;  (** cross-shard commits that waited out uncertainty *)
   wait_ns : int;  (** total commit-wait time *)
   end_ns : int;  (** cluster time at which the last transaction resolved *)
-  boundary : int;
   sum_values : int;  (** final sum over all keys: must equal [expected_sum] *)
   expected_sum : int;  (** [keys * 100] plus committed increments *)
   locks_left : int;  (** keys still locked after the drain — must be 0 *)

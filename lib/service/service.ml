@@ -106,7 +106,6 @@ type result = {
   messages : int;
   dropped : int;  (** events dropped at dead nodes *)
   end_ns : int;
-  boundary : int;
   throughput : float;  (** committed ops per µs *)
   mean_ns : float;
   p50_ns : float;
@@ -133,7 +132,6 @@ type role = Leader | Backup
 
 (* One side of a pending 2PC transfer ([pr_coord] = coordinator). *)
 type prep = {
-  pr_txid : int;
   pr_key : int;  (* the key this node locked *)
   pr_other : int;  (* coordinator side: the participant's key *)
   pr_prop : int;  (* this side's commit proposal *)
@@ -174,10 +172,10 @@ type msg =
       term : int;
       seq : int;  (* stream position the snapshot is current as of *)
       store : Key.t array;  (* a copy of the leader's whole store *)
-      preps : prep list;
-      dones : (int * bool * int) list;  (* (rid, ok, delta) *)
-      decideds : (int * bool) list;
-      unackeds : (int * undec) list;
+      prep : (int, prep) Hashtbl.t;  (* copies of the leader's tables *)
+      done_ : (int, bool * int) Hashtbl.t;
+      decided : (int, bool) Hashtbl.t;
+      unacked : (int, undec) Hashtbl.t;
     }
 
 type nstate = {
@@ -190,10 +188,10 @@ type nstate = {
   n_store : Key.t array;
   n_log : Replog.t;
   n_adm : Admission.t;
-  n_done : (int, bool * int) Hashtbl.t;  (* rid -> (ok, value delta) *)
-  n_prep : (int, prep) Hashtbl.t;
-  n_decided : (int, bool) Hashtbl.t;  (* txid -> commit? *)
-  n_unacked : (int, undec) Hashtbl.t;
+  mutable n_done : (int, bool * int) Hashtbl.t;  (* rid -> (ok, value delta) *)
+  mutable n_prep : (int, prep) Hashtbl.t;
+  mutable n_decided : (int, bool) Hashtbl.t;  (* txid -> commit? *)
+  mutable n_unacked : (int, undec) Hashtbl.t;
   n_exec : (int, unit) Hashtbl.t;
       (* rids admitted but not yet resolved (locked-key backoff, open
          2PC): a retransmit of one of these must not execute again *)
@@ -555,7 +553,6 @@ let run ~boundary ?(fault = Node_fault.empty "none") spec cfg =
       n.n_store.(key).Key.locked <- true;
       Hashtbl.replace n.n_prep txid
         {
-          pr_txid = txid;
           pr_key = key;
           pr_other = -1;
           pr_prop = prop;
@@ -783,7 +780,6 @@ let run ~boundary ?(fault = Node_fault.empty "none") spec cfg =
         let peer_group = group_of_key b in
         Hashtbl.replace n.n_prep txid
           {
-            pr_txid = txid;
             pr_key = a;
             pr_other = b;
             pr_prop = prop;
@@ -1005,7 +1001,6 @@ let run ~boundary ?(fault = Node_fault.empty "none") spec cfg =
           in
           Hashtbl.replace n.n_prep txid
             {
-              pr_txid = txid;
               pr_key = key_b;
               pr_other = -1;
               pr_prop = prop2;
@@ -1167,10 +1162,15 @@ let run ~boundary ?(fault = Node_fault.empty "none") spec cfg =
                (* other groups' keys sit at their initial state on every
                   node, so shipping the whole store changes nothing *)
                store = Array.map (fun k -> { k with Key.value = k.Key.value }) n.n_store;
-               preps = Hashtbl.fold (fun _ p acc -> p :: acc) n.n_prep [];
-               dones = Hashtbl.fold (fun rid (ok, d) acc -> (rid, ok, d) :: acc) n.n_done [];
-               decideds = Hashtbl.fold (fun txid cmt acc -> (txid, cmt) :: acc) n.n_decided [];
-               unackeds = Hashtbl.fold (fun txid u acc -> (txid, u) :: acc) n.n_unacked [];
+               prep = Hashtbl.copy n.n_prep;
+               done_ = Hashtbl.copy n.n_done;
+               decided = Hashtbl.copy n.n_decided;
+               (* undec records are mutable: the joiner gets its own,
+                  with a fresh retransmit budget *)
+               unacked =
+                 (let u = Hashtbl.copy n.n_unacked in
+                  Hashtbl.filter_map_inplace (fun _ d -> Some { d with u_tries = 0 }) u;
+                  u);
              });
         (* the snapshot carries the whole stream prefix: once it is in
            flight the joiner can only ever resume from at or above it,
@@ -1178,23 +1178,15 @@ let run ~boundary ?(fault = Node_fault.empty "none") spec cfg =
         Hashtbl.replace n.n_peer_ack node (Replog.position n.n_log);
         release_held n
       end
-    | Snapshot { term; seq; store; preps; dones; decideds; unackeds } ->
+    | Snapshot { term; seq; store; prep; done_; decided; unacked } ->
       Net.busy net dst (Key.msg_ns + Key.op_ns);
       let n = st.(dst) in
       if n.n_syncing then begin
         Array.blit store 0 n.n_store 0 keys;
-        Hashtbl.reset n.n_prep;
-        List.iter (fun p -> Hashtbl.replace n.n_prep p.pr_txid p) preps;
-        Hashtbl.reset n.n_done;
-        List.iter (fun (rid, ok, d) -> Hashtbl.replace n.n_done rid (ok, d)) dones;
-        Hashtbl.reset n.n_decided;
-        List.iter (fun (txid, cmt) -> Hashtbl.replace n.n_decided txid cmt) decideds;
-        Hashtbl.reset n.n_unacked;
-        List.iter
-          (fun (txid, u) ->
-            Hashtbl.replace n.n_unacked txid
-              { u_commit = u.u_commit; u_ts = u.u_ts; u_ver_b = u.u_ver_b; u_peer = u.u_peer; u_tries = 0 })
-          unackeds;
+        n.n_prep <- prep;
+        n.n_done <- done_;
+        n.n_decided <- decided;
+        n.n_unacked <- unacked;
         Replog.set_applied n.n_log seq;
         if term > n.n_term then n.n_term <- term;
         n.n_syncing <- false;
@@ -1329,7 +1321,6 @@ let run ~boundary ?(fault = Node_fault.empty "none") spec cfg =
     messages = Net.delivered net;
     dropped = Net.dropped net;
     end_ns = tally.end_ns;
-    boundary;
     throughput = Tally.throughput tally;
     mean_ns;
     p50_ns;

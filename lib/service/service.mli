@@ -63,7 +63,6 @@ type result = {
   messages : int;
   dropped : int;  (** events dropped at dead nodes *)
   end_ns : int;
-  boundary : int;
   throughput : float;  (** committed ops per µs *)
   mean_ns : float;
   p50_ns : float;

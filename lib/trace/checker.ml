@@ -14,7 +14,12 @@
       the OCC/Hekaton/TL2 retrofits) are serializable in commit-timestamp
       order: the conflict graph over the traced read/write sets is
       acyclic, and no conflict edge runs from a certainly-later commit
-      timestamp to a certainly-earlier one. *)
+      timestamp to a certainly-earlier one.
+
+   One entry point, [check]: a trace with guard events is held to the
+   stamp-level variants below (guarded traces), any other to these.  The
+   report carries the trace's [dropped] count: a trace that lost events
+   never passes, whatever the surviving events say. *)
 
 type tx = {
   tx_tid : int;
@@ -45,17 +50,18 @@ type report = {
   boundary : int;
   clock_reads : int;
   new_times : int;
-  stamps : int;  (* guard-issued stamps checked (guarded runs only) *)
+  stamps : int;  (* guard-issued stamps checked (guarded traces only) *)
   hazards : int;  (* injected hazard events present in the trace *)
   guard_events : int;  (* guard stamps + actions present in the trace *)
   committed : int;
   aborted : int;
   edges : int;
   ambiguous : int;  (* WR edges skipped because a (key, version) had several installers *)
+  dropped : int;  (* events the trace's rings lost: the check saw only the rest *)
   violations : violation list;
 }
 
-let ok r = r.violations = []
+let ok r = r.dropped = 0 && r.violations = []
 
 (* Uncertainty-window arithmetic is shared with the primitive and the
    dynamic race detector ([Ordo_analyze.Hb]) — the checker must judge
@@ -64,31 +70,28 @@ module Hb = Ordo_analyze.Hb
 
 (* ---- invariant 1: physical order vs cmp_time ---- *)
 
-(* Events are already sorted by completion time.  For each read B, the
-   candidate witnesses are reads that completed before B *started*
-   (completion <= time_B - cost_B); among those only the maximum clock
-   value matters, so a two-pointer sweep with a running argmax is exact
-   and O(n log n) overall. *)
-let check_clock_reads ~boundary (events : Trace.event array) violations =
-  let reads = Array.of_list (List.filter (fun (e : Trace.event) -> e.kind = Trace.Clock_read) (Array.to_list events)) in
-  let n = Array.length reads in
+(* [xs] is sorted by completion time.  For each item B, the candidate
+   witnesses are items that completed before B *started*; among those only
+   the maximum value matters, so a two-pointer sweep with a running argmax
+   is exact and O(n log n) overall.  The accessors read [xs] in place: raw
+   clock reads and guard stamps share the sweep without a copy. *)
+let sweep xs ~start ~completion ~value ~bound ~inversion violations =
+  let n = Array.length xs in
   let admitted = ref 0 in
-  let max_val = ref min_int and max_ev = ref None in
+  let max_val = ref min_int and max_at = ref (-1) in
   for i = 0 to n - 1 do
-    let b = reads.(i) in
-    let b_start = b.time - b.c in
-    while !admitted < n && reads.(!admitted).time <= b_start do
-      let a = reads.(!admitted) in
-      if a.a > !max_val then begin
-        max_val := a.a;
-        max_ev := Some a
+    let b = xs.(i) in
+    let b_start = start b in
+    while !admitted < n && completion xs.(!admitted) <= b_start do
+      let v = value xs.(!admitted) in
+      if v > !max_val then begin
+        max_val := v;
+        max_at := !admitted
       end;
       incr admitted
     done;
-    match !max_ev with
-    | Some a when Hb.inverts ~boundary ~earlier:!max_val ~later:b.a ->
-      violations := Clock_inversion { earlier = a; later = b; delta = !max_val - b.a } :: !violations
-    | _ -> ()
+    if !max_at >= 0 && Hb.inverts ~boundary:(bound b) ~earlier:!max_val ~later:(value b) then
+      violations := inversion xs.(!max_at) b (!max_val - value b) :: !violations
   done;
   n
 
@@ -276,31 +279,7 @@ let check_history ~bound_of txs violations =
   | None -> ());
   (List.length !edges, !ambiguous)
 
-let count_kind k (events : Trace.event array) =
-  Array.fold_left (fun n (e : Trace.event) -> if e.kind = k then n + 1 else n) 0 events
-
-let check ~boundary (t : Trace.t) =
-  if boundary < 0 then invalid_arg "Checker.check: negative boundary";
-  let violations = ref [] in
-  let clock_reads = check_clock_reads ~boundary t.events violations in
-  let new_times = check_new_times ~boundary t t.events violations in
-  let txs, aborted = reconstruct t t.events in
-  let edges, ambiguous = check_history ~bound_of:(fun _ _ -> boundary) txs violations in
-  {
-    boundary;
-    clock_reads;
-    new_times;
-    stamps = 0;
-    hazards = count_kind Trace.Hazard t.events;
-    guard_events = count_kind Trace.Guard t.events;
-    committed = List.length txs;
-    aborted;
-    edges;
-    ambiguous;
-    violations = List.rev !violations;
-  }
-
-(* ---- guarded runs: the same invariants against the guard's dynamic bound ----
+(* ---- guarded traces: the same invariants against the guard's dynamic bound ----
 
    A guarded run replaces raw clock reads with guard-issued stamps
    ([guard.ts] events: b = stamp value, c = boundary in effect when it
@@ -351,35 +330,11 @@ let guard_stamps (t : Trace.t) =
         if c1 <> c2 then compare c1 c2 else compare e1.seq e2.seq) a;
     a
 
-let check_guard_stamps stamps violations =
-  let n = Array.length stamps in
-  let admitted = ref 0 in
-  let max_val = ref min_int and max_ev = ref None in
-  for i = 0 to n - 1 do
-    let b_start, _, (b : Trace.event) = stamps.(i) in
-    while
-      !admitted < n
-      && (let _, completion, _ = stamps.(!admitted) in
-          completion <= b_start)
-    do
-      let _, _, (a : Trace.event) = stamps.(!admitted) in
-      if a.b > !max_val then begin
-        max_val := a.b;
-        max_ev := Some a
-      end;
-      incr admitted
-    done;
-    match !max_ev with
-    | Some a when Hb.inverts ~boundary:b.c ~earlier:!max_val ~later:b.b ->
-      violations := Stamp_inversion { earlier = a; later = b; delta = !max_val - b.b } :: !violations
-    | _ -> ()
-  done;
-  n
-
-(* The guard's boundary over virtual time, reconstructed from its
-   guard.bound / guard.remeasure events (b = the new bound).  The bound
-   is monotone, so the running maximum up to [time] is exact. *)
-let bound_timeline ~boundary0 (t : Trace.t) =
+(* The bound a conflict edge [u -> w] is judged against (3'): the guard's
+   boundary once both commits existed, from its guard.bound /
+   guard.remeasure events (b = the new bound).  The bound is monotone, so
+   the running maximum up to that time is exact. *)
+let edge_bound ~boundary0 (t : Trace.t) =
   let interesting tag = tag = Trace.tag_guard_bound || tag = Trace.tag_guard_remeasure in
   let changes =
     Array.to_list t.events
@@ -388,31 +343,57 @@ let bound_timeline ~boundary0 (t : Trace.t) =
            | Trace.Guard when interesting (Trace.tag_name t e.a) -> Some (e.time, e.b)
            | _ -> None)
   in
-  fun time ->
+  fun u w ->
+    let time = max u.commit_time w.commit_time in
     List.fold_left
       (fun acc (at, b) -> if at <= time && b > acc then b else acc)
       boundary0 changes
 
-let check_guard ~boundary (t : Trace.t) =
-  if boundary < 0 then invalid_arg "Checker.check_guard: negative boundary";
+let count_kind k (events : Trace.event array) =
+  Array.fold_left (fun n (e : Trace.event) -> if e.kind = k then n + 1 else n) 0 events
+
+let check ~boundary (t : Trace.t) =
+  if boundary < 0 then invalid_arg "Checker.check: negative boundary";
+  let guard_events = count_kind Trace.Guard t.events in
+  let guarded = guard_events > 0 in
   let violations = ref [] in
-  let bound_at = bound_timeline ~boundary0:boundary t in
-  let stamps = check_guard_stamps (guard_stamps t) violations in
+  let swept =
+    if guarded then
+      sweep (guard_stamps t)
+        ~start:(fun (s, _, _) -> s)
+        ~completion:(fun (_, c, _) -> c)
+        ~value:(fun (_, _, (e : Trace.event)) -> e.b)
+        ~bound:(fun (_, _, (e : Trace.event)) -> e.c)
+        ~inversion:(fun (_, _, earlier) (_, _, later) delta ->
+          Stamp_inversion { earlier; later; delta })
+        violations
+    else
+      sweep
+        (Array.of_list
+           (List.filter (fun (e : Trace.event) -> e.kind = Trace.Clock_read) (Array.to_list t.events)))
+        ~start:(fun (e : Trace.event) -> e.time - e.c)
+        ~completion:(fun (e : Trace.event) -> e.time)
+        ~value:(fun (e : Trace.event) -> e.a)
+        ~bound:(fun _ -> boundary)
+        ~inversion:(fun earlier later delta -> Clock_inversion { earlier; later; delta })
+        violations
+  in
   let new_times = check_new_times ~boundary t t.events violations in
   let txs, aborted = reconstruct t t.events in
-  let bound_of u w = bound_at (max u.commit_time w.commit_time) in
+  let bound_of = if guarded then edge_bound ~boundary0:boundary t else fun _ _ -> boundary in
   let edges, ambiguous = check_history ~bound_of txs violations in
   {
     boundary;
-    clock_reads = 0;
+    clock_reads = (if guarded then 0 else swept);
     new_times;
-    stamps;
+    stamps = (if guarded then swept else 0);
     hazards = count_kind Trace.Hazard t.events;
-    guard_events = count_kind Trace.Guard t.events;
+    guard_events;
     committed = List.length txs;
     aborted;
     edges;
     ambiguous;
+    dropped = t.dropped;
     violations = List.rev !violations;
   }
 
@@ -445,28 +426,34 @@ let describe_violation = function
       (String.concat " -> "
          (List.map (fun tx -> Printf.sprintf "(core %d, ts %d)" tx.tx_tid tx.commit_ts) txs))
 
+let incomplete r = Printf.sprintf "incomplete (%d events dropped)" r.dropped
+
+(* A trace whose rings dropped events certifies nothing, whatever the
+   surviving events say: coverage comes first in both renderings. *)
 let describe r =
-  let reads =
-    if r.stamps > 0 then Printf.sprintf "%d guard stamps" r.stamps
-    else Printf.sprintf "%d clock reads" r.clock_reads
-  in
-  let hazards =
-    if r.hazards > 0 || r.guard_events > 0 then
-      Printf.sprintf " [%d hazards, %d guard events]" r.hazards r.guard_events
-    else ""
-  in
-  Printf.sprintf
-    "checked %s, %d new_time calls, %d committed txs (%d aborted, %d conflict \
-     edges, %d ambiguous) against boundary %d ns%s: %s"
-    reads r.new_times r.committed r.aborted r.edges r.ambiguous r.boundary hazards
-    (if ok r then "OK" else Printf.sprintf "%d VIOLATIONS" (List.length r.violations))
-  :: List.map describe_violation r.violations
+  if r.dropped > 0 then [ "checker: " ^ incomplete r ]
+  else
+    let reads =
+      if r.stamps > 0 then Printf.sprintf "%d guard stamps" r.stamps
+      else Printf.sprintf "%d clock reads" r.clock_reads
+    in
+    let hazards =
+      if r.hazards > 0 || r.guard_events > 0 then
+        Printf.sprintf " [%d hazards, %d guard events]" r.hazards r.guard_events
+      else ""
+    in
+    Printf.sprintf
+      "checked %s, %d new_time calls, %d committed txs (%d aborted, %d conflict \
+       edges, %d ambiguous) against boundary %d ns%s: %s"
+      reads r.new_times r.committed r.aborted r.edges r.ambiguous r.boundary hazards
+      (if r.violations = [] then "OK"
+       else Printf.sprintf "%d VIOLATIONS" (List.length r.violations))
+    :: List.map describe_violation r.violations
 
 (* The verdict line (or, [~terse], the bench column) for a checked run,
-   and whether it passes.  Coverage comes first: a trace whose rings
-   dropped events certifies nothing, whatever the surviving events say. *)
-let verdict ?(terse = false) (t : Trace.t) r =
-  if t.dropped > 0 then (false, Printf.sprintf "incomplete (%d events dropped)" t.dropped)
+   and whether it passes. *)
+let verdict ?(terse = false) r =
+  if r.dropped > 0 then (false, incomplete r)
   else if ok r then (true, if terse then "ok" else "ok (0 violations)")
   else
     ( false,

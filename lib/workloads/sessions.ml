@@ -13,7 +13,7 @@
      skew and read/cross-shard mix;
    - diurnal load ramps: arrivals are a thinned Poisson process whose
      intensity ramps 1x -> 3x -> 1x across the run window;
-   - hot-key storms: timed windows during which a seeded storm key
+   - a hot-key storm: a timed window during which a seeded storm key
      hijacks a slice of all ops;
    - connection churn: sessions are finite and a fraction reconnect as
      fresh sessions when they complete. *)
@@ -33,18 +33,17 @@ type tenant = {
   cross_pct : int;  (* cross-shard transfers, as a % of the write ops *)
 }
 
-type storm = {
-  at : int;
-  storm_dur : int;
-  boost_pct : int;  (* % of all ops the storm key hijacks while active *)
-}
-
 (* The traffic shape every run shares; only the size and the shard
    count vary per call site. *)
 let mean_think_ns = 400
 let mean_requests = 8  (* mean session length, in requests *)
 let reconnect_pct = 20  (* churn: % of completed sessions that reconnect *)
-let storms = [ { at = 2_000; storm_dur = 4_000; boost_pct = 35 } ]
+
+(* One hot-key storm: from [storm_at] for [storm_ns], the run's seeded
+   storm key hijacks [storm_pct]% of all ops. *)
+let storm_at = 2_000
+let storm_ns = 4_000
+let storm_pct = 35
 
 let tenants =
   [|
@@ -93,7 +92,7 @@ type t = {
   arr_rng : Rng.t;  (* arrival process only *)
   sess_rng : Rng.t;  (* parent stream the per-session streams split from *)
   zipfs : Zipf.t array;  (* per tenant *)
-  storm_keys : int array;
+  storm_key : int;
   mutable arrivals : int;  (* sessions the arrival process has granted *)
   mutable next_sid : int;
   stats : stats;
@@ -112,7 +111,7 @@ let create ~seed profile =
     arr_rng;
     sess_rng;
     zipfs = Array.map (fun tn -> Zipf.create ~n:keys ~theta:tn.theta) tenants;
-    storm_keys = Array.of_list (List.map (fun _ -> Rng.int storm_rng keys) storms);
+    storm_key = Rng.int storm_rng keys;
     arrivals = 0;
     next_sid = 0;
     stats = { opened = 0; closed = 0; reconnects = 0; storm_ops = 0 };
@@ -168,26 +167,24 @@ let connect t =
 let think_gap s =
   1 + int_of_float (Rng.exponential s.srng (float_of_int mean_think_ns))
 
-let storm_key t ~now rng =
-  let rec go i = function
-    | [] -> None
-    | st :: rest ->
-      if now >= st.at && now < st.at + st.storm_dur && Rng.int rng 100 < st.boost_pct
-      then Some t.storm_keys.(i)
-      else go (i + 1) rest
-  in
-  go 0 storms
+(* [a + 1 + r] when that is a key, else [a]'s neighbour on another
+   shard: [a + 1] wrapped, or [a - 1] when the wrap lands on [a]'s own
+   shard (the last key, when [partitions] divides it). *)
+let fallback_partner ~partitions a r =
+  let b = a + 1 + r in
+  if b < keys then b
+  else
+    let b = (a + 1) mod keys in
+    if b mod partitions <> a mod partitions then b else a - 1
 
 (* Cross-partition partner for [a]: a key on a different shard, drawn
    from the tenant's own popularity distribution when one shows up in a
-   few tries, else the neighbouring shard's copy of [a]. *)
+   few tries, else {!fallback_partner}. *)
 let partner t s a =
   let p = t.profile.partitions in
   let zipf = t.zipfs.(s.tenant) in
   let rec pick tries =
-    if tries = 0 then
-      let b = a + 1 + (Rng.int s.srng (max 1 (p - 1))) in
-      if b < keys then b else (a + 1) mod keys
+    if tries = 0 then fallback_partner ~partitions:p a (Rng.int s.srng (max 1 (p - 1)))
     else
       let b = Zipf.sample zipf s.srng in
       if b mod p <> a mod p then b else pick (tries - 1)
@@ -199,11 +196,12 @@ let op t s ~now =
   s.left <- s.left - 1;
   let tn = tenants.(s.tenant) in
   let key =
-    match storm_key t ~now s.srng with
-    | Some k ->
+    if now >= storm_at && now < storm_at + storm_ns && Rng.int s.srng 100 < storm_pct
+    then begin
       t.stats.storm_ops <- t.stats.storm_ops + 1;
-      k
-    | None -> Zipf.sample t.zipfs.(s.tenant) s.srng
+      t.storm_key
+    end
+    else Zipf.sample t.zipfs.(s.tenant) s.srng
   in
   if Rng.int s.srng 100 < tn.read_pct then Get key
   else if t.profile.partitions > 1 && Rng.int s.srng 100 < tn.cross_pct then

@@ -9,7 +9,7 @@
 
     Shapes modelled: skewed multi-tenant traffic (per-tenant Zipf skew
     and read/cross-shard mix), diurnal load ramps (thinned-Poisson
-    arrivals, 1x → 3x → 1x intensity), hot-key storms (timed windows
+    arrivals, 1x → 3x → 1x intensity), a hot-key storm (a timed window
     hijacking a slice of all ops onto one seeded key), and connection
     churn (a fraction of completed sessions reconnect as fresh ones). *)
 
@@ -21,6 +21,11 @@ type op =
 
 val keys : int
 (** Size of the key space every session draws from. *)
+
+val fallback_partner : partitions:int -> int -> int -> int
+(** [fallback_partner ~partitions a r]: the [Transfer] partner of key [a]
+    when no popular key turned up, for a draw [0 <= r <= partitions - 2];
+    always on another shard than [a] ([mod partitions]). *)
 
 (** The tenant mix, storm schedule, think time, session length and churn
     rate are fixed; a profile sets only the run's size and shard count. *)

@@ -148,24 +148,31 @@ let test_guarded_passes_unguarded_fails () =
   List.iter
     (fun name ->
       let boundary, tg, _, guard = run_occ ~policy:Guard.Inflate name in
-      let rg = Checker.check_guard ~boundary tg in
+      let rg = Checker.check ~boundary tg in
       if not (Checker.ok rg) then
         Alcotest.failf "guarded %s failed: %s" name
           (String.concat "; " (Checker.describe rg));
+      (* The check picks its mode from the trace: guard events mean the
+         stamp-level invariants, none mean the raw clock reads. *)
+      if not (rg.Checker.stamps > 0 && rg.Checker.clock_reads = 0) then
+        Alcotest.failf "guarded %s not checked at the stamp level" name;
       (match guard with
       | Some (module G) ->
         if G.violations () = 0 then Alcotest.failf "guard saw nothing under %s" name
       | None -> assert false);
       let b2, tu, _, _ = run_occ name in
       let ru = Checker.check ~boundary:b2 tu in
-      if Checker.ok ru then Alcotest.failf "unguarded %s passed the checker" name)
+      if not (ru.Checker.clock_reads > 0 && ru.Checker.stamps = 0) then
+        Alcotest.failf "unguarded %s not checked at the clock-read level" name;
+      if ru.Checker.violations = [] then
+        Alcotest.failf "unguarded %s passed the checker" name)
     [ "dvfs"; "resync"; "hotplug"; "migrate"; "storm" ]
 
 let test_healthy_guard_is_silent () =
   List.iter
     (fun machine ->
       let boundary, t, _, guard = run_occ ~machine ~policy:Guard.Inflate "none" in
-      let r = Checker.check_guard ~boundary t in
+      let r = Checker.check ~boundary t in
       check Alcotest.bool "healthy guarded run passes" true (Checker.ok r);
       match guard with
       | Some (module G) ->
@@ -200,7 +207,7 @@ let test_fallback_policy_degrades () =
   | Some (module G) ->
     check Alcotest.bool "degraded to fallback" true (G.in_fallback ());
     check Alcotest.bool "fallback run passes the checker" true
-      (Checker.ok (Checker.check_guard ~boundary t));
+      (Checker.ok (Checker.check ~boundary t));
     let s = Timeline.summarize t in
     check Alcotest.bool "fallback traced" true (s.Timeline.fallback_at <> None)
   | None -> assert false
@@ -216,7 +223,7 @@ let test_remeasure_policy_consults_hook () =
     check Alcotest.bool "hook consulted" true (!calls > 0);
     check Alcotest.bool "recalibrated bound adopted" true (G.current_boundary () >= fresh);
     check Alcotest.bool "remeasured run passes the checker" true
-      (Checker.ok (Checker.check_guard ~boundary t));
+      (Checker.ok (Checker.check ~boundary t));
     let s = Timeline.summarize t in
     check Alcotest.bool "remeasurements traced" true (s.Timeline.remeasurements > 0)
   | None -> assert false

@@ -325,6 +325,28 @@ let test_chaos_fault_validated () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "out-of-range fault accepted"
 
+(* Every fallback draw pairs keys on two different groups, and every
+   draw that already did so keeps its old partner ([a + 1 + r], else
+   [(a + 1) mod keys]), so recorded traffic is unchanged.  The old rule
+   paired the last key with key 0 when [partitions] divides it (3 and 7
+   here), a Transfer whose coordinator then prepared against itself. *)
+let test_fallback_partner_crosses_groups () =
+  let keys = Sessions.keys in
+  for partitions = 2 to 8 do
+    for a = 0 to keys - 1 do
+      for r = 0 to partitions - 2 do
+        let b = Sessions.fallback_partner ~partitions a r in
+        if b < 0 || b >= keys || b mod partitions = a mod partitions then
+          Alcotest.failf "key %d, %d partitions, draw %d: partner %d shares its group" a
+            partitions r b;
+        let old = if a + 1 + r < keys then a + 1 + r else (a + 1) mod keys in
+        if old mod partitions <> a mod partitions && b <> old then
+          Alcotest.failf "key %d, %d partitions, draw %d: partner moved %d -> %d" a
+            partitions r old b
+      done
+    done
+  done
+
 let case name f = Alcotest.test_case name `Quick f
 
 let suite =
@@ -342,4 +364,5 @@ let suite =
     case "chaos: primary killed mid-run" test_chaos_primary_kill;
     case "chaos: unreplicated primary restarts" test_chaos_unreplicated_restart;
     case "chaos: fault scenarios validated" test_chaos_fault_validated;
+    case "transfer fallback partner crosses groups" test_fallback_partner_crosses_groups;
   ]
